@@ -1,0 +1,12 @@
+"""Make the checkout's ``src`` and the benchmark package importable.
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
