@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck smoke obs-smoke serve-smoke fabric-smoke check bench-engine coverage-check cov-mitigations ci clean-cache
+.PHONY: test lint typecheck smoke obs-smoke serve-smoke fabric-smoke check coverage-check cov-mitigations ci clean-cache
 
 # Tier-1 suite (the correctness gate).
 test:
@@ -53,22 +53,6 @@ fabric-smoke:
 check:
 	$(PYTHON) -m repro.check.selfcheck --fuzz-cases 12
 
-# Engine A/B smoke: the fast engine must be no slower than the
-# reference and bit-identical on short runs, and must stay within
-# BENCH_THRESHOLD of the committed baseline timings. Sub-second smoke
-# runs on shared machines jitter ~±20%, so the default gate is wide;
-# it still catches losing the fast path (a 2-3x slowdown). Drop
-# --smoke for the full Table 4 mix A/B (docs/performance.md quotes
-# those numbers).
-BENCH_THRESHOLD ?= 0.5
-bench-engine:
-	$(PYTHON) benchmarks/bench_engine.py --smoke \
-		--output benchmarks/results/BENCH_engine_current.json
-	$(PYTHON) benchmarks/compare.py \
-		benchmarks/results/BENCH_engine_smoke.json \
-		benchmarks/results/BENCH_engine_current.json \
-		--threshold $(BENCH_THRESHOLD)
-
 # Coverage for the verification layer itself; skips cleanly when
 # pytest-cov is not installed (it is optional tooling, not a dep).
 coverage-check:
@@ -93,7 +77,7 @@ cov-mitigations:
 	fi
 
 # What CI runs.
-ci: lint typecheck test smoke obs-smoke serve-smoke fabric-smoke check bench-engine cov-mitigations
+ci: lint typecheck test smoke obs-smoke serve-smoke fabric-smoke check cov-mitigations
 
 clean-cache:
 	rm -rf benchmarks/results/.cache .repro-cache

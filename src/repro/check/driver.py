@@ -6,12 +6,21 @@ with tracing enabled and replays the captured command stream through a
 policy parameters (but none of the simulator's timing machinery). This
 is the primitive behind ``python -m repro.check.selfcheck`` and the
 ``repro.tools.campaign verify`` subcommand.
+
+:func:`verify_controller` does the same for a lone controller run by a
+:class:`~repro.mc.driver.ControllerDriver`. :func:`result_digest` and
+:func:`trace_digest` are the fingerprints pinned golden results are
+compared by (``tests/sim/test_goldens.py`` and the self-check).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
 
+from ..mc.driver import ControllerDriver
 from ..obs.tracer import EventTracer, TraceEvent
 from ..sim.runner import DesignPoint, build_config, make_policy_factory, \
     run_point
@@ -80,3 +89,32 @@ def verify_point(point: DesignPoint,
                         violations=violations,
                         events_checked=oracle.events_checked,
                         dropped=tracer.dropped, counts=tracer.counts())
+
+
+def verify_controller(driver: ControllerDriver) -> list[Violation]:
+    """Replay a traced lone-controller run through the oracle."""
+    if driver.tracer is None or driver.tracer.dropped:
+        raise ValueError("the driver's run was not traced in full")
+    oracle = ConformanceOracle(OracleConfig.from_policy(
+        driver.policy, banks=len(driver.mc.queues),
+        refresh_mode=driver.mc.refresh_mode))
+    return oracle.verify(driver.tracer.events())
+
+
+def _sha(document) -> str:
+    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def result_digest(result) -> str:
+    """sha256 of a ``SystemResult``'s stats, core_stats, mc_stats and
+    elapsed_ps (wall-time ``phases`` left out)."""
+    return _sha([dict(result.stats),
+                 [dataclasses.asdict(s) for s in result.core_stats],
+                 [dataclasses.asdict(s) for s in result.mc_stats],
+                 result.elapsed_ps])
+
+
+def trace_digest(events) -> str:
+    """sha256 of a traced command stream."""
+    return _sha([list(event) for event in events])

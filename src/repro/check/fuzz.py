@@ -2,8 +2,10 @@
 
 Each fuzz case builds a real :class:`~repro.mc.controller.MemoryController`
 (with a randomly drawn mitigation design, page policy, refresh mode, and
-geometry) on a private event heap, drives it with a seeded randomized
-request stream — bursty arrivals, conflict ping-pong, hot rows, writes —
+geometry) on a private event heap through
+:class:`~repro.mc.driver.ControllerDriver` — the same controller and
+event dispatch the campaigns run — drives it with a seeded randomized
+request stream (bursty arrivals, conflict ping-pong, hot rows, writes),
 and replays the traced command stream through the conformance oracle.
 The property under test: *every stream the controller emits is legal.*
 
@@ -17,20 +19,18 @@ master seed — logging the master seed is enough to replay any case.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..config import DRAMConfig
-from ..dram.commands import BankAddress, LineAddress
-from ..mc.controller import MemoryController
+from ..mc.driver import ControllerDriver
 from ..mc.pagepolicy import make_page_policy
-from ..mc.request import MemRequest
 from ..mitigations import registry as mitigation_registry
 from ..mitigations.prac import BaselinePolicy
 from ..obs.tracer import EventTracer, TraceEvent
 from ..rng import derive_seed
+from .driver import verify_controller
 from .oracle import ConformanceOracle, OracleConfig, Violation
 
 NS = 1000
@@ -201,51 +201,32 @@ def run_case(case: FuzzCase) -> tuple[list[TraceEvent], list[Violation],
     policy = _make_policy(case)
     config = DRAMConfig(banks_per_subchannel=case.banks,
                         rows_per_bank=case.rows)
-    heap: list = []
-    counter = iter(range(1 << 62))
-
-    def scheduler(time_ps: int, callback) -> None:
-        heapq.heappush(heap, (time_ps, next(counter), callback))
-
-    serviced = []
-    controller = MemoryController(
-        subchannel=0, config=config, policy=policy,
-        scheduler=scheduler, on_complete=serviced.append,
-        page_policy=make_page_policy(case.page_policy),
-        refresh_mode=case.refresh_mode)
     tracer = EventTracer(capacity=2_000_000)
-    controller.tracer = tracer
-    policy.tracer = tracer
-    policy.tracer_subchannel = 0
-    controller.start()
+    driver = ControllerDriver(config, policy,
+                              make_page_policy(case.page_policy),
+                              case.refresh_mode, tracer=tracer)
+    controller = driver.mc
+    driver.start()
     for spec in case.requests:
-        address = LineAddress(BankAddress(0, spec.bank, spec.row), 0)
-        request = MemRequest(core=0, address=address,
-                             arrival_ps=spec.arrival_ps,
-                             is_write=spec.is_write)
-        controller.enqueue(request, now=spec.arrival_ps)
+        driver.submit(spec.bank, spec.row, spec.arrival_ps, spec.is_write)
 
     total = len(case.requests)
     popped = 0
     drain_deadline: int | None = None
-    while heap:
+    while (time_ps := driver.next_time()) is not None:
         popped += 1
         if popped > MAX_EVENTS:
             return tracer.events(), [], True
-        time_ps, _, callback = heapq.heappop(heap)
-        if drain_deadline is None and len(serviced) == total \
+        if drain_deadline is None and controller.stats.serviced == total \
                 and not controller._alert_in_flight:
             # let pending closes / one refresh round settle, then stop
             drain_deadline = time_ps + 2 * policy.timing.tREFI
         if drain_deadline is not None and time_ps > drain_deadline \
                 and not controller._alert_in_flight:
             break
-        callback(time_ps)
+        driver.step()
 
-    oracle = ConformanceOracle(OracleConfig.from_policy(
-        policy, banks=case.banks, refresh_mode=case.refresh_mode))
-    violations = oracle.verify(tracer.events())
-    return tracer.events(), violations, False
+    return tracer.events(), verify_controller(driver), False
 
 
 def replay_case(master_seed: int, index: int) -> tuple[FuzzCase,

@@ -16,10 +16,10 @@
 4. **fuzz smoke** — a bounded run of the property-based MC fuzzer,
    plus replay of the per-mitigation seed corpora under
    ``tests/check/seeds/`` (curated ALERT/RFM-heavy cases);
-5. **engine** — both campaign points re-run under the fast engine
-   (:mod:`repro.sim.fastpath`): stats fingerprints and full command
-   traces must be bit-identical to the reference event loop, and the
-   fast trace must satisfy the conformance oracle on its own.
+5. **golden** — both campaign points re-run traced: the result digest
+   and the command-stream digest must equal the pinned goldens
+   (:data:`GOLDENS`), and the trace must satisfy the conformance
+   oracle.
 
 Exit status 0 when every step passes, 1 otherwise — wired into
 ``make check`` (and thereby ``make ci``).
@@ -28,7 +28,6 @@ Exit status 0 when every step passes, 1 otherwise — wired into
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import random
 import sys
 
@@ -36,7 +35,8 @@ from ..obs.tracer import EventTracer
 from ..sim.runner import DesignPoint, run_point
 from .corpus import run_corpus
 from .differential import run_differential
-from .driver import oracle_config_for, trace_point, verify_point
+from .driver import (TRACE_CAPACITY, oracle_config_for, result_digest,
+                     trace_digest, trace_point, verify_point)
 from .fuzz import run_fuzz
 from .mutations import MutationError, drop_pre, shrink_trc, skip_rfm
 from .oracle import ConformanceOracle
@@ -52,6 +52,19 @@ ABO_POINT = DesignPoint(
 MIX_POINT = DesignPoint(
     workload="mcf", design="mopac-c", trh=500, instructions=20_000,
     rows_per_bank=256, refresh_scale=1 / 128)
+
+#: (result digest, command-stream digest) of each campaign point,
+#: pinned from the reference event loop (see
+#: :func:`~repro.check.driver.result_digest`); a mismatch is a change of
+#: simulated behaviour
+GOLDENS = {
+    ABO_POINT: (
+        "2647097062f8908b2bc7cc332a53bfaf128b8d25b40a5dc7fa3e43fe99c7ddfd",
+        "f60bd5d2c87d4efb709f2c1f202df2231d7f6d0f934aef61cab58b11c6d07718"),
+    MIX_POINT: (
+        "43ecf55197bf0ede1040e1c09e68a605902606a5ffa554ffcac51ac28291065a",
+        "d016be710f375b6532753e8a8cb650908fd1176ffd91e973f3e87b3ea30091fa"),
+}
 
 MUTATIONS = (("drop-pre", drop_pre, False),
              ("shrink-trc", shrink_trc, True),
@@ -111,29 +124,22 @@ def run_selfcheck(fuzz_cases: int = 12, fuzz_seed: int = 0xC4EC,
     _check("fuzz/corpus", corpus.ok, corpus.describe().splitlines()[0],
            failures, quiet)
 
-    # 5. the fast engine is bit-identical machinery, not new physics
-    for point in (ABO_POINT, MIX_POINT):
+    # 5. results and command streams equal the pinned goldens
+    for point, (want_result, want_trace) in GOLDENS.items():
         label = f"{point.workload}.{point.design}"
-        fingerprints, traces = {}, {}
-        for engine in ("reference", "fast"):
-            tracer = EventTracer(capacity=2_000_000)
-            result = run_point(point, tracer=tracer, engine=engine)
-            fingerprints[engine] = (
-                dict(result.stats),
-                [dataclasses.asdict(s) for s in result.core_stats],
-                [dataclasses.asdict(s) for s in result.mc_stats],
-                result.elapsed_ps)
-            traces[engine] = tracer.events()
-        same_stats = fingerprints["fast"] == fingerprints["reference"]
-        same_trace = traces["fast"] == traces["reference"]
-        _check(f"engine/identity/{label}", same_stats and same_trace,
-               f"stats {'match' if same_stats else 'DIVERGE'}, "
-               f"{len(traces['fast'])} traced events "
+        tracer = EventTracer(capacity=TRACE_CAPACITY)
+        result = run_point(point, tracer=tracer)
+        events = tracer.events()
+        same_result = result_digest(result) == want_result
+        same_trace = trace_digest(events) == want_trace
+        _check(f"golden/identity/{label}", same_result and same_trace,
+               f"result {'matches' if same_result else 'DIVERGES'}, "
+               f"{len(events)} traced events "
                f"{'match' if same_trace else 'DIVERGE'}",
                failures, quiet)
         violations = ConformanceOracle(
-            oracle_config_for(point)).verify(traces["fast"])
-        _check(f"engine/oracle/{label}", not violations,
+            oracle_config_for(point)).verify(events)
+        _check(f"golden/oracle/{label}", not violations,
                ("zero violations" if not violations
                 else f"{len(violations)} violation(s), first: "
                      f"{violations[0].rule}"),

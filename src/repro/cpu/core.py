@@ -19,6 +19,7 @@ The model preserves exactly the distinction the paper's results hinge on:
 from __future__ import annotations
 
 import collections
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -40,14 +41,20 @@ class CoreStats:
         return self.instructions / cycles
 
 
+#: Accesses pulled per ``next_block`` refill of a block-capable trace
+#: (:class:`~repro.workloads.synthetic.TraceGenerator`). Each generator
+#: owns its RNG, so pulling ahead cannot change the stream; the only
+#: waste is up to one block of draws past the instruction budget.
+TRACE_BLOCK = 256
+
+
 class Core:
     """One trace-driven core.
 
-    The system drives the core through three entry points:
-
-    * :meth:`next_action` — what the core wants to do next,
-    * :meth:`take_request` — commit to issuing the prepared access,
-    * :meth:`on_completion` — an outstanding miss returned.
+    The :class:`~repro.sim.system.System` drives the core: it reads the
+    pending access with :meth:`peek`, issues it (advancing
+    ``inst_index`` / ``dispatch_ps``), registers reads with
+    :meth:`track`, and reports returned misses to :meth:`on_completion`.
     """
 
     def __init__(self, core_id: int, trace: Iterator[TraceItem],
@@ -55,6 +62,14 @@ class Core:
                  window: int | None = None):
         self.core_id = core_id
         self.trace = iter(trace)
+        #: refill of the pending-access block: traces that can draw
+        #: ``next_block(n)`` raw tuples are read in blocks, any other
+        #: iterator one item at a time
+        next_block = getattr(self.trace, "next_block", None)
+        self._refill = (functools.partial(next_block, TRACE_BLOCK)
+                        if next_block is not None else self._pull_one)
+        self._block: list[tuple[int, int, bool]] = []
+        self._pos = 0
         self.config = config
         self.instruction_limit = instruction_limit
         self.pspi = config.ps_per_instruction
@@ -67,75 +82,68 @@ class Core:
         #: outstanding misses: request_id -> instruction index
         self.outstanding: dict[int, int] = {}
         self._order: collections.deque[tuple[int, int]] = collections.deque()
-        self._next_item: TraceItem | None = None
+        #: the pending access as a raw ``(gap, address, is_write)`` tuple
+        self._next_item: tuple[int, int, bool] | None = None
         self._exhausted = False
         self._waiting_on: int | None = None
         self._resume_floor = 0.0
         self._last_completion = 0.0
+        #: set by the event loop once :attr:`done` holds (it is monotone)
+        self.finished = False
         self.stats = CoreStats()
 
     # ------------------------------------------------------------------
-    def _peek(self) -> TraceItem | None:
-        if self._next_item is None and not self._exhausted:
-            try:
-                self._next_item = next(self.trace)
-            except StopIteration:
-                self._exhausted = True
-        return self._next_item
+    def _pull_one(self) -> list[tuple[int, int, bool]]:
+        for item in self.trace:
+            return [(item.gap, item.address, item.is_write)]
+        return []
 
-    def _trace_finished(self) -> bool:
-        item = self._peek()
-        budget_left = self.instruction_limit - self.inst_index
-        return item is None or budget_left <= 0 or item.gap + 1 > budget_left
-
-    def next_action(self) -> tuple[str, float | int]:
-        """Returns one of:
-
-        * ``("issue", t)`` — ready to issue the next access at time t (ps),
-        * ``("wait", request_id)`` — ROB full; blocked on that miss,
-        * ``("finish", t)`` — trace/budget exhausted; core done at time t.
-        """
-        if self._trace_finished():
-            return ("finish", self._finish_time())
-        item = self._peek()
-        assert item is not None
-        next_index = self.inst_index + item.gap + 1
-        blocker = self._rob_blocker(next_index)
-        if blocker is not None:
-            self._waiting_on = blocker
-            return ("wait", blocker)
-        issue = max(self.dispatch_ps + item.gap * self.pspi,
-                    self._resume_floor)
-        return ("issue", issue)
-
-    def take_request(self, issue_ps: float) -> TraceItem:
-        """Commit the prepared access; advances the dispatch cursor."""
+    def peek(self) -> tuple[int, int, bool] | None:
+        """The pending access as ``(gap, address, is_write)``; None once
+        the trace is exhausted."""
         item = self._next_item
-        assert item is not None, "take_request without a pending item"
-        self._next_item = None
-        self.inst_index += item.gap + 1
-        self.dispatch_ps = issue_ps
-        self.stats.instructions = self.inst_index
-        self.stats.requests += 1
+        if item is None and not self._exhausted:
+            pos = self._pos
+            block = self._block
+            if pos >= len(block):
+                block = self._block = self._refill()
+                pos = 0
+                if not block:
+                    self._exhausted = True
+                    return None
+            item = self._next_item = block[pos]
+            self._pos = pos + 1
         return item
 
     def track(self, request_id: int) -> None:
         self.outstanding[request_id] = self.inst_index
         self._order.append((request_id, self.inst_index))
 
-    def on_completion(self, request_id: int, now: int) -> None:
-        self.outstanding.pop(request_id, None)
-        while self._order and self._order[0][0] not in self.outstanding:
-            self._order.popleft()
-        self._last_completion = max(self._last_completion, float(now))
-        if request_id == self._waiting_on:
-            # Dispatch was stalled on this miss; it resumes now.
-            self._resume_floor = max(self._resume_floor, float(now))
-            self._waiting_on = None
+    def on_completion(self, request_id: int, now: int) -> bool:
+        """Retire a returned miss; True when dispatch was stalled on it
+        (it resumes at ``now``)."""
+        outstanding = self.outstanding
+        outstanding.pop(request_id, None)
+        order = self._order
+        while order and order[0][0] not in outstanding:
+            order.popleft()
+        if now > self._last_completion:
+            self._last_completion = float(now)
+        if request_id != self._waiting_on:
+            return False
+        if now > self._resume_floor:
+            self._resume_floor = float(now)
+        self._waiting_on = None
+        return True
 
     @property
     def done(self) -> bool:
-        return self._trace_finished() and not self.outstanding
+        """Trace or budget spent, with no miss outstanding."""
+        if self.outstanding:
+            return False
+        item = self.peek()
+        budget_left = self.instruction_limit - self.inst_index
+        return item is None or budget_left <= 0 or item[0] + 1 > budget_left
 
     def finalize(self) -> CoreStats:
         budget_left = max(self.instruction_limit - self.inst_index, 0)
@@ -144,15 +152,6 @@ class Core:
         return self.stats
 
     # ------------------------------------------------------------------
-    def _rob_blocker(self, next_index: int) -> int | None:
-        """Oldest outstanding miss the ROB cannot retire past, if any."""
-        if not self._order:
-            return None
-        oldest_id, oldest_index = self._order[0]
-        if next_index - oldest_index >= self.rob:
-            return oldest_id
-        return None
-
     def _finish_time(self) -> float:
         """Retirement of the last instruction: the dispatch cursor plus the
         non-memory tail, but never before the last miss returns."""

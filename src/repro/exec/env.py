@@ -24,9 +24,6 @@ import os
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
 
-#: Simulation engines selectable via ``REPRO_ENGINE``.
-ENGINES = ("reference", "fast")
-
 
 class EnvKnobError(ValueError):
     """An environment knob holds a value that cannot be parsed."""
@@ -146,11 +143,11 @@ def env_choice(name: str, choices: tuple[str, ...],
     return value
 
 
-def engine_choice(default: str = "reference") -> str:
-    """The simulation engine selected by ``REPRO_ENGINE``.
+def engine_choice() -> str:
+    """Name of the simulation engine.
 
-    ``reference`` is the original event loop; ``fast`` is the
-    bit-identical fast engine (:mod:`repro.sim.fastpath`). See
-    ``docs/performance.md``.
+    There is one engine and nothing selects it, so this is a constant
+    and reads no environment variable. It exists for tooling that logs
+    which engine produced a measurement (``perfbench/run.py``).
     """
-    return env_choice("REPRO_ENGINE", ENGINES, default)
+    return "single"

@@ -5,8 +5,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ..dram.commands import LineAddress
-
 _request_ids = itertools.count()
 
 
@@ -19,32 +17,22 @@ def next_request_id() -> int:
     return next(_request_ids)
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class MemRequest:
-    """One LLC-miss request.
+    """One LLC-miss request to ``row`` of ``bank`` in its controller's
+    sub-channel.
 
     ``arrival_ps`` is when it reaches the memory controller; the controller
     fills in ``completion_ps`` when the data burst finishes.
     """
 
     core: int
-    address: LineAddress
+    bank: int
+    row: int
     arrival_ps: int
     is_write: bool = False
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=next_request_id)
     completion_ps: int | None = None
-
-    @property
-    def subchannel(self) -> int:
-        return self.address.subchannel
-
-    @property
-    def bank(self) -> int:
-        return self.address.bank
-
-    @property
-    def row(self) -> int:
-        return self.address.row
 
     @property
     def latency_ps(self) -> int:

@@ -246,43 +246,17 @@ def memo_put(point: DesignPoint, result: SystemResult) -> None:
     _cache[point] = result
 
 
-def resolve_engine(engine: str | None = None) -> type[System]:
-    """System class for ``engine`` (default: the ``REPRO_ENGINE`` knob).
-
-    ``reference`` is the original event loop; ``fast`` is the
-    bit-identical fast engine. Unknown names raise ``ValueError`` (and
-    a bad ``REPRO_ENGINE`` value raises
-    :class:`~repro.exec.env.EnvKnobError` at resolution time).
-    """
-    from ..exec.env import ENGINES, engine_choice
-
-    if engine is None:
-        engine = engine_choice()
-    if engine == "fast":
-        from .fastpath import FastSystem
-        return FastSystem
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; "
-                         f"choose from {ENGINES}")
-    return System
-
-
 def run_point(point: DesignPoint,
               tracer: EventTracer | None = None,
-              profiler: PhaseProfiler | None = None,
-              engine: str | None = None) -> SystemResult:
+              profiler: PhaseProfiler | None = None) -> SystemResult:
     """Simulate one design point from scratch (no cache layers).
 
     ``tracer`` (opt-in) records the run's DRAM command events;
     ``profiler`` accumulates the tracegen/warmup/sim phase breakdown
     (one is created per call when omitted). The breakdown is attached
-    to the result as ``result.phases`` either way. ``engine`` overrides
-    the ``REPRO_ENGINE`` knob (``reference``/``fast``); both engines
-    are bit-identical (see docs/performance.md), so results are
-    interchangeable.
+    to the result as ``result.phases`` either way.
     """
     profiler = profiler or PhaseProfiler()
-    system_cls = resolve_engine(engine)
     log.debug("run_point %s.%s.t%d", point.workload, point.design,
               point.trh)
     with profiler.phase("tracegen"), span("sim.tracegen",
@@ -294,7 +268,7 @@ def run_point(point: DesignPoint,
         traces = build_traces(point, config)
     with profiler.phase("warmup"), span("sim.warmup",
                                         design=point.design):
-        system = system_cls(
+        system = System(
             config=config,
             policy_factory=make_policy_factory(point, config),
             traces=traces,

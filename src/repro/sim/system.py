@@ -1,7 +1,8 @@
 """Full-system simulator: cores -> (LLC) -> address mapper -> controllers.
 
-The :class:`System` owns a global event heap (time-ordered callbacks) and
-wires together:
+The :class:`System` owns the one event heap
+(:class:`~repro.mc.events.EventQueue`: ``(time_ps, seq, op, target,
+arg)`` opcode tuples) and wires together:
 
 * one :class:`~repro.cpu.core.Core` per trace,
 * optionally the shared LLC (by default the calibrated workloads generate
@@ -13,13 +14,14 @@ wires together:
 
 ``System.run()`` executes until every core has retired its instruction
 budget and returns a :class:`SystemResult` with per-core IPCs and all
-subsystem statistics.
+subsystem statistics. How the event loop stays cheap — opcode events,
+inline service chains, block trace reads, the line-mapping memo and the
+O(1) active-core count — is described in ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -29,21 +31,15 @@ from ..cpu.core import Core, CoreStats
 from ..cpu.trace import TraceItem
 from ..dram.address import make_mapper
 from ..mc.controller import MCStats, MemoryController
+from ..mc.events import (FASTFORWARD_MIN_GAP_PS, OP_COMPLETE, OP_DRIVE,
+                         OP_SERVICE, EventQueue)
 from ..mc.pagepolicy import make_page_policy
-from ..mitigations.base import MitigationPolicy
 from ..mc.request import MemRequest, next_request_id
+from ..mitigations.base import MitigationPolicy
 from ..obs.registry import StatsRegistry
 from ..obs.tracer import EventTracer
 
 PolicyFactory = Callable[[int], MitigationPolicy]
-
-#: Event-time jumps at least this large (ps) count as fast-forwarded
-#: idle time in the ``sim.fastforward_ps`` stat. The event loop always
-#: jumps straight to the next event — there is no tick — so the stat
-#: measures *simulated* idle time crossed in one hop, not wall time; it
-#: is identical across engines because both pop the same event sequence
-#: (see docs/performance.md).
-FASTFORWARD_MIN_GAP_PS = 100_000
 
 
 @dataclass
@@ -221,12 +217,6 @@ class _RowActivityMonitor:
 class System:
     """One simulation instance."""
 
-    #: Controller class to instantiate per sub-channel. The fast engine
-    #: (:mod:`repro.sim.fastpath`) subclasses :class:`System` and points
-    #: this at its specialised controller; everything else about system
-    #: construction is shared.
-    controller_cls = MemoryController
-
     def __init__(self, config: SystemConfig,
                  policy_factory: PolicyFactory,
                  traces: list[Iterator[TraceItem]],
@@ -243,15 +233,14 @@ class System:
                 f"need {config.cores} traces, got {len(traces)}")
         self.config = config
         self.mapper = make_mapper(config.dram, mapper_kind)
-        self._heap: list[tuple[int, int, Callable[[int], None]]] = []
-        self._seq = itertools.count()
+        self.events = EventQueue()
         self.policies = [policy_factory(i)
                          for i in range(config.dram.subchannels)]
         self.controllers = [
-            self.controller_cls(i, config.dram, self.policies[i],
-                                self._schedule, self._on_complete,
-                                make_page_policy(page_policy),
-                                refresh_mode=refresh_mode)
+            MemoryController(i, config.dram, self.policies[i], self.events,
+                             make_page_policy(page_policy),
+                             refresh_mode=refresh_mode,
+                             return_ps=config.llc_hit_ps)
             for i in range(config.dram.subchannels)
         ]
         if windows is not None and len(windows) != len(traces):
@@ -286,8 +275,6 @@ class System:
                     "finish_ps": c.stats.finish_ps,
                     "ipc": c.stats.ipc(self.config.core_ghz),
                 })
-        self._request_owner: dict[int, int] = {}
-        self._waiters: dict[int, int] = {}
         self._monitor: _RowActivityMonitor | None = None
         if collect_row_activity:
             timing = config.dram.timing
@@ -297,8 +284,12 @@ class System:
                 mc.act_hook = (
                     lambda t, bank, row, _sub=mc.subchannel:
                     self._monitor.notify(t, _sub, bank, row))
+        self._line_bytes = config.dram.line_bytes
+        self._total_lines = self.mapper.total_lines()
+        #: line index -> (controller, bank, row): the mapping is pure and
+        #: the working set is bounded by the workload footprint
+        self._line_memo: dict[int, tuple[MemoryController, int, int]] = {}
         self._now = 0
-        self._fastforward_ps = 0
 
     def _mitigation_aggregates(self) -> dict[str, int]:
         """Cross-sub-channel totals under the bare ``mitigation.`` prefix."""
@@ -311,101 +302,135 @@ class System:
         }
 
     # ------------------------------------------------------------------
-    # Event plumbing
-    # ------------------------------------------------------------------
-    def _schedule(self, time_ps: int, callback: Callable[[int], None]) -> None:
-        heapq.heappush(self._heap, (int(time_ps), next(self._seq), callback))
-
-    def _on_complete(self, request: MemRequest) -> None:
-        core_index = self._request_owner.pop(request.request_id, None)
-        if core_index is None:
-            return  # untracked writeback
-        core = self.cores[core_index]
-        done = request.completion_ps
-        assert done is not None
-        return_time = done + self.config.llc_hit_ps
-        self._schedule(return_time,
-                       lambda now, c=core, r=request.request_id:
-                       self._core_completion(c, r, now))
-
-    def _core_completion(self, core: Core, request_id: int,
-                         now: int) -> None:
-        core.on_completion(request_id, now)
-        if self._waiters.get(request_id) == core.core_id:
-            del self._waiters[request_id]
-        self._drive_core(core, now)
-
-    # ------------------------------------------------------------------
     # Core driving
     # ------------------------------------------------------------------
-    def _drive_core(self, core: Core, now: int) -> None:
-        while True:
-            action, value = core.next_action()
-            if action == "finish":
-                return
-            if action == "wait":
-                self._waiters[int(value)] = core.core_id
-                return
-            issue = int(value)
-            if issue > now:
-                self._schedule(issue,
-                               lambda t, c=core: self._drive_core(c, t))
-                return
-            item = core.take_request(float(issue))
-            self._dispatch(core, item, issue)
+    def _drive_core(self, core: Core, now: int, rewake: bool = True) -> bool:
+        """Issue ``core``'s accesses as far as ``now`` allows.
 
-    def _dispatch(self, core: Core, item: TraceItem, issue: int) -> None:
-        if self.llc is not None and self.llc.access(item.address,
-                                                    item.is_write):
+        Stops when the next access lies in the future (an ``OP_DRIVE``
+        wake is pushed for it), when the ROB is full (the completion of
+        the oldest miss re-drives the core), or when the trace or the
+        budget is spent. ``rewake=False`` is for a completion the core
+        was not stalled on: a wake for its next access is already
+        pending then, so unless something is issuable right now the
+        call returns without pushing a duplicate.
+
+        Returns True when the core is done (its ``done`` predicate,
+        from the state already in hand).
+        """
+        heap = self.events.heap
+        seq = self.events.seq
+        limit = core.instruction_limit
+        rob = core.rob
+        pspi = core.pspi
+        while True:
+            item = core.peek()
+            if item is None:
+                return not core.outstanding
+            gap = item[0]
+            advance = gap + 1
+            inst_index = core.inst_index
+            if limit - inst_index < advance:
+                return not core.outstanding  # budget cannot cover it
+            order = core._order
+            if order:
+                oldest_id, oldest_index = order[0]
+                if inst_index + advance - oldest_index >= rob:
+                    core._waiting_on = oldest_id
+                    return False
+            issue_f = core.dispatch_ps + gap * pspi
+            if issue_f < core._resume_floor:
+                issue_f = core._resume_floor
+            issue = int(issue_f)
+            if issue > now:
+                if rewake:
+                    heapq.heappush(heap, (issue, next(seq), OP_DRIVE,
+                                          core, 0))
+                return False
+            core._next_item = None
+            core.inst_index = inst_index = inst_index + advance
+            core.dispatch_ps = float(issue)
+            core.stats.instructions = inst_index
+            core.stats.requests += 1
+            self._dispatch(core, item, issue)
+            rewake = True
+
+    def _dispatch(self, core: Core, item: tuple[int, int, bool],
+                  issue: int) -> None:
+        _, address, is_write = item
+        if self.llc is not None and self.llc.access(address, is_write):
             # LLC hit: no DRAM traffic, but the data still returns only
             # after the LLC lookup latency. Reads occupy the core's miss
-            # window until then, and the scheduled completion wakes a
-            # core that filled its ROB on cache-resident data — without
-            # it the core would wait on the request id forever.
-            if not item.is_write:
+            # window until then, and the completion event wakes a core
+            # that filled its ROB on cache-resident data — without it
+            # the core would wait on the request id forever.
+            if not is_write:
                 request_id = next_request_id()
                 core.track(request_id)
-                self._schedule(issue + self.config.llc_hit_ps,
-                               lambda now, c=core, r=request_id:
-                               self._core_completion(c, r, now))
+                self.events.push(issue + self.config.llc_hit_ps,
+                                 OP_COMPLETE, core, request_id)
             return
         arrival = issue + self.config.llc_hit_ps
-        line = self.mapper.map_address(item.address)
-        request = MemRequest(core.core_id, line, arrival, item.is_write)
-        if not item.is_write:
+        line_index = (address // self._line_bytes) % self._total_lines
+        entry = self._line_memo.get(line_index)
+        if entry is None:
+            subchannel, bank, row = self.mapper.map_line_raw(line_index)
+            entry = self._line_memo[line_index] = (
+                self.controllers[subchannel], bank, row)
+        mc, bank, row = entry
+        request = MemRequest(core.core_id, bank, row, arrival, is_write)
+        if not is_write:
             # Writes are dirty-line writebacks: they consume DRAM bandwidth
             # but never block retirement, so the core does not track them.
             core.track(request.request_id)
-            self._request_owner[request.request_id] = core.core_id
-        self.controllers[line.subchannel].enqueue(request, arrival)
+            self.events.owners[request.request_id] = core
+        mc.enqueue(request, arrival)
 
     # ------------------------------------------------------------------
     def run(self) -> SystemResult:
-        self._startup()
-        self._run_loop()
-        return self._finalize()
-
-    def _startup(self) -> None:
         for mc in self.controllers:
             mc.start()
         for core in self.cores:
             self._drive_core(core, 0)
+        self._run_loop()
+        return self._finalize()
 
     def _run_loop(self) -> None:
-        """Reference event loop: pop, advance time, dispatch.
+        """Pop, advance time, dispatch on the opcode.
 
-        Subclasses (the fast engine) override only this method; startup
-        and finalisation stay shared so both engines build identical
-        state and identical results from it.
+        Core doneness is monotone (traces only advance, outstanding sets
+        only drain), so the loop keeps a count of active cores, updated
+        only by the events that can finish one, instead of re-evaluating
+        every core before every pop.
         """
+        events = self.events
+        heap = events.heap
         heappop = heapq.heappop
-        while self._heap and not all(core.done for core in self.cores):
-            time_ps, _, callback = heappop(self._heap)
-            gap = time_ps - self._now
-            if gap >= FASTFORWARD_MIN_GAP_PS:
-                self._fastforward_ps += gap
-            self._now = time_ps
-            callback(time_ps)
+        drive = self._drive_core
+        min_gap = FASTFORWARD_MIN_GAP_PS
+        active = 0
+        for core in self.cores:
+            core.finished = core.done
+            if not core.finished:
+                active += 1
+        now = self._now
+        while heap and active:
+            time_ps, _, op, target, arg = heappop(heap)
+            if time_ps - now >= min_gap:
+                events.fastforward_ps += time_ps - now
+            if op == OP_SERVICE:
+                # a service pass may chain inline and advance the clock
+                now = target._service(arg, time_ps)
+            elif op == OP_COMPLETE or op == OP_DRIVE:
+                now = time_ps
+                rewake = op == OP_DRIVE or target.on_completion(arg,
+                                                                time_ps)
+                if drive(target, time_ps, rewake) and not target.finished:
+                    target.finished = True
+                    active -= 1
+            else:
+                now = target.handle(op, arg, time_ps)
+        self._now = now
 
     def _finalize(self) -> SystemResult:
         core_stats = [core.finalize() for core in self.cores]
@@ -414,7 +439,7 @@ class System:
                     if self._monitor is not None else None)
         sim_stats: dict[str, float] = {
             "elapsed_ps": elapsed,
-            "fastforward_ps": self._fastforward_ps,
+            "fastforward_ps": self.events.fastforward_ps,
         }
         if activity is not None:
             sim_stats["row_activity"] = {

@@ -3,15 +3,16 @@
 The same design point must produce bit-identical ``SystemResult.stats``
 (and core/MC stats) across every combination of machinery:
 
-* **engine**: the reference event loop vs the fast engine
-  (``REPRO_ENGINE=fast``, :mod:`repro.sim.fastpath`);
 * **transport**: serial inline execution vs the parallel sweep engine;
-* **observability**: with and without an :class:`EventTracer` attached.
+* **observability**: with and without an :class:`EventTracer` attached;
+
+and both must equal the result and command stream pinned in
+``tests/sim/data/goldens.json`` from the reference event loop.
 
 Tracing is observability, not physics; parallelism is transport, not
-physics; the fast engine is machinery, not physics. Any divergence here
-means hidden global state, an order-dependent code path, or a fast-path
-shortcut that changed the simulated event sequence.
+physics. Any divergence here means hidden global state, an
+order-dependent code path, or an engine change that altered the
+simulated event sequence.
 """
 
 import dataclasses
@@ -20,19 +21,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.driver import (oracle_config_for, result_digest,
+                                trace_digest)
+from repro.check.oracle import ConformanceOracle
 from repro.exec.engine import SweepEngine
 from repro.obs.tracer import EventTracer
 from repro.sim.runner import DesignPoint, run_point
 
+from ..sim.test_goldens import GOLDENS, MATRIX, POINTS
+
 FAST = dict(instructions=6_000, rows_per_bank=512, refresh_scale=1 / 256)
 
-POINTS = [
-    DesignPoint(workload="mcf", design="mopac-c", **FAST),
-    DesignPoint(workload="xalancbmk", design="mopac-d", **FAST),
-    DesignPoint(workload="hammer", design="qprac", trh=500, **FAST),
+POINTS_UNDER_TEST = [
+    DesignPoint(workload=workload, design=design, **FAST)
+    for workload, design in MATRIX
 ]
 
-ENGINES = ("reference", "fast")
+
+def label(point):
+    return f"{point.workload}.{point.design}"
 
 
 def fingerprint(result):
@@ -44,50 +51,49 @@ def fingerprint(result):
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("point", POINTS,
-                         ids=lambda p: f"{p.workload}.{p.design}")
+def test_matrix_points_are_pinned():
+    for point in POINTS_UNDER_TEST:
+        assert POINTS[f"matrix/{label(point)}"] == point
+
+
+@pytest.mark.parametrize("point", POINTS_UNDER_TEST, ids=label)
 class TestTracerTransparency:
-    def test_tracer_on_equals_tracer_off(self, point, engine):
-        bare = run_point(point, engine=engine)
+    def test_tracer_on_equals_tracer_off(self, point):
+        bare = run_point(point)
         tracer = EventTracer(capacity=2_000_000)
-        traced = run_point(point, tracer=tracer, engine=engine)
+        traced = run_point(point, tracer=tracer)
         assert len(tracer) > 0  # the traced run really did record
         assert fingerprint(traced) == fingerprint(bare)
 
-    def test_rerun_is_bit_identical(self, point, engine):
-        assert fingerprint(run_point(point, engine=engine)) \
-            == fingerprint(run_point(point, engine=engine))
+    def test_rerun_is_bit_identical(self, point):
+        assert fingerprint(run_point(point)) == fingerprint(run_point(point))
 
 
-@pytest.mark.parametrize("point", POINTS,
-                         ids=lambda p: f"{p.workload}.{p.design}")
+@pytest.mark.parametrize("point", POINTS_UNDER_TEST, ids=label)
 class TestEngineEquivalence:
+    """The engine reproduces the reference event loop's pinned output."""
+
     def test_fast_matches_reference(self, point):
-        fast = run_point(point, engine="fast")
-        reference = run_point(point, engine="reference")
-        assert fingerprint(fast) == fingerprint(reference)
+        want = GOLDENS[f"matrix/{label(point)}"]["result"]
+        assert result_digest(run_point(point)) == want
 
     def test_traced_events_match(self, point):
-        traces = {}
-        for engine in ENGINES:
-            tracer = EventTracer(capacity=2_000_000)
-            run_point(point, tracer=tracer, engine=engine)
-            traces[engine] = tracer.events()
-        assert traces["fast"] == traces["reference"]
+        tracer = EventTracer(capacity=2_000_000)
+        run_point(point, tracer=tracer)
+        want = GOLDENS[f"matrix/{label(point)}"]["trace"]
+        assert trace_digest(tracer.events()) == want
 
 
 class TestSerialParallelEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_sweep_paths_agree(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+    def test_sweep_paths_agree(self):
         serial = SweepEngine(workers=1, parallel=False, cache=None,
                              use_memo=False)
         parallel = SweepEngine(workers=2, parallel=True, cache=None,
                                use_memo=False)
-        serial_results = serial.run(POINTS)
-        parallel_results = parallel.run(POINTS)
-        for point, a, b in zip(POINTS, serial_results, parallel_results):
+        serial_results = serial.run(POINTS_UNDER_TEST)
+        parallel_results = parallel.run(POINTS_UNDER_TEST)
+        for point, a, b in zip(POINTS_UNDER_TEST, serial_results,
+                               parallel_results):
             assert fingerprint(a) == fingerprint(b), point
 
 
@@ -100,12 +106,20 @@ class TestSerialParallelEquivalence:
     page_policy=st.sampled_from(("open", "close", "ton100")),
     refresh_mode=st.sampled_from(("all-bank", "same-bank")),
 )
-def test_engines_agree_on_random_points(workload, design, instructions,
-                                        page_policy, refresh_mode):
-    """Property: the engines agree on arbitrary short design points."""
+def test_random_points_pass_oracle_and_rerun_identically(
+        workload, design, instructions, page_policy, refresh_mode):
+    """Property: an arbitrary short design point emits a legal command
+    stream, and a rerun reproduces its result and stream exactly."""
     point = DesignPoint(workload=workload, design=design, trh=500,
                         instructions=instructions, rows_per_bank=512,
                         refresh_scale=1 / 256, page_policy=page_policy,
                         refresh_mode=refresh_mode)
-    assert fingerprint(run_point(point, engine="fast")) \
-        == fingerprint(run_point(point, engine="reference"))
+    runs = []
+    for _ in range(2):
+        tracer = EventTracer(capacity=2_000_000)
+        result = run_point(point, tracer=tracer)
+        assert tracer.dropped == 0
+        runs.append((fingerprint(result), tracer.events()))
+    assert runs[0] == runs[1]
+    oracle = ConformanceOracle(oracle_config_for(point))
+    assert oracle.verify(runs[0][1]) == []

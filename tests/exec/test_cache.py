@@ -43,6 +43,17 @@ class TestPointKey:
         monkeypatch.setenv("REPRO_CACHE_SALT", "experiment-7")
         assert point_key(point) != before
 
+    @pytest.mark.parametrize("value", ["fast", "reference", "turbo"])
+    def test_stray_engine_knob_does_not_change_key(self, monkeypatch,
+                                                   value):
+        # the simulator has one engine; a leftover REPRO_ENGINE from the
+        # two-engine era must neither re-key the cache nor fail
+        point = DesignPoint(workload="mcf", design="prac", **FAST)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        before = point_key(point)
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        assert point_key(point) == before
+
 
 class TestResultCache:
     def test_miss_on_empty(self, tmp_path):

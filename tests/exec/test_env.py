@@ -133,21 +133,12 @@ class TestEnvChoice:
 
 
 class TestEngineChoice:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert engine_choice() == "reference"
+    def test_names_the_one_engine(self):
+        assert engine_choice() == "single"
 
-    def test_fast_selected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        assert engine_choice() == "fast"
-
-    @pytest.mark.parametrize("bad", ["quick", "turbo", "fastt", "2"])
-    def test_unknown_engine_rejected_not_ignored(self, monkeypatch, bad):
-        # a typo'd engine must fail loudly, not silently fall back to
-        # the reference loop and eat the expected speedup
-        monkeypatch.setenv("REPRO_ENGINE", bad)
-        with pytest.raises(EnvKnobError, match="REPRO_ENGINE"):
-            engine_choice()
+    def test_reads_no_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        assert engine_choice() == "single"
 
 
 class TestEngineKnobs:

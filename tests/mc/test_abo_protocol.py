@@ -5,33 +5,25 @@ then must stall and issue RFM; with mitigation level 1 the DRAM is
 unavailable for 350 ns. Total ALERT wall time: 530 ns (Table 3).
 """
 
-import heapq
-import itertools
-
 import pytest
 
 from repro.config import DRAMConfig
-from repro.dram.commands import BankAddress, LineAddress
 from repro.dram.timing import ddr5_prac
-from repro.mc.controller import MemoryController
-from repro.mc.request import MemRequest
 from repro.mitigations.prac import PRACMoatPolicy
 from repro.units import ns
+
+from .helpers import assert_legal, traced_driver
 
 
 class AboSim:
     def __init__(self, abo_level=1):
         timing = ddr5_prac().scaled_refresh(1 / 256)
-        self.config = DRAMConfig(subchannels=1, banks_per_subchannel=4,
-                                 rows_per_bank=128, timing=timing)
+        config = DRAMConfig(subchannels=1, banks_per_subchannel=4,
+                            rows_per_bank=128, timing=timing)
         self.policy = PRACMoatPolicy(500, 4, 128, 32, timing=timing)
         self.policy.abo_level = abo_level
-        self.heap, self.seq, self.done = [], itertools.count(), []
-        self.mc = MemoryController(
-            0, self.config, self.policy,
-            lambda t, cb: heapq.heappush(self.heap,
-                                         (int(t), next(self.seq), cb)),
-            self.done.append)
+        self.driver = traced_driver(self.policy, config=config)
+        self.mc = self.driver.mc
 
     def force_alert(self):
         """Put a row at ATH and assert ALERT directly."""
@@ -39,15 +31,11 @@ class AboSim:
         self.policy._request_alert()
 
     def submit(self, bank, row, at):
-        request = MemRequest(
-            0, LineAddress(BankAddress(0, bank, row), 0), at)
-        self.mc.enqueue(request, at)
-        return request
+        return self.driver.submit(bank, row, at)
 
     def run(self, until=10**12):
-        while self.heap and self.heap[0][0] <= until:
-            t, _, cb = heapq.heappop(self.heap)
-            cb(t)
+        self.driver.run(until)
+        assert_legal(self.driver)
 
 
 class TestAboWindow:
@@ -66,7 +54,7 @@ class TestAboWindow:
         sim.submit(1, 3, at=0)  # triggers the alert check path
         sim.run()
         # the RFM window: banks blocked from ~180 ns to ~530 ns
-        blocked_until = sim.mc.banks[2].blocked_until
+        blocked_until = sim.mc.blocked_until[2]
         assert blocked_until >= ns(180 + 350)
         assert blocked_until <= ns(180 + 350) + ns(60)
 
@@ -93,8 +81,8 @@ class TestAboWindow:
             sim.force_alert()
             sim.submit(1, 3, at=0)
             sim.run()
-        assert two.mc.banks[2].blocked_until - \
-            one.mc.banks[2].blocked_until == pytest.approx(ns(350), abs=1)
+        assert two.mc.blocked_until[2] - \
+            one.mc.blocked_until[2] == pytest.approx(ns(350), abs=1)
 
     def test_alert_counted_once(self):
         sim = AboSim()

@@ -1,60 +1,34 @@
 """Memory controller: FR-FCFS behaviour, timing, REF, ABO, PREcu."""
 
-import heapq
-import itertools
-
 import pytest
 
 from repro.config import DRAMConfig
-from repro.dram.commands import BankAddress, LineAddress
 from repro.dram.timing import ddr5_base, ddr5_prac
-from repro.mc.controller import MemoryController
-from repro.mc.request import MemRequest
 from repro.mitigations.mopac_c import MoPACCPolicy
-from repro.mitigations.prac import BaselinePolicy, PRACMoatPolicy
+from repro.mitigations.prac import PRACMoatPolicy
 from repro.units import ns
+
+from .helpers import assert_legal, traced_driver
 
 
 class MiniSim:
-    """A tiny event loop driving one controller."""
+    """One traced controller; every test ends on a legal command stream."""
 
     def __init__(self, policy=None, page_policy=None, config=None):
-        self.config = config or DRAMConfig(
-            subchannels=1, banks_per_subchannel=4, rows_per_bank=128,
-            timing=ddr5_base().scaled_refresh(1 / 256))
-        self.policy = policy or BaselinePolicy(self.config.timing)
-        self.heap = []
-        self.seq = itertools.count()
-        self.completed = []
-        self.mc = MemoryController(
-            0, self.config, self.policy, self.schedule,
-            self.completed.append, page_policy)
+        self.driver = traced_driver(policy, page_policy, config)
+        self.config = self.driver.config
+        self.policy = self.driver.policy
+        self.mc = self.driver.mc
 
-    def schedule(self, time_ps, callback):
-        heapq.heappush(self.heap, (int(time_ps), next(self.seq), callback))
-
-    def submit(self, bank, row, at=0, column=0, is_write=False):
-        request = MemRequest(0, LineAddress(BankAddress(0, bank, row),
-                                            column), at, is_write)
-        self.mc.enqueue(request, at)
-        return request
+    def submit(self, bank, row, at=0, is_write=False):
+        return self.driver.submit(bank, row, at, is_write)
 
     def run(self, until=10**15):
-        while self.heap and self.heap[0][0] <= until:
-            time_ps, _, callback = heapq.heappop(self.heap)
-            callback(time_ps)
+        self.driver.run(until)
+        assert_legal(self.driver)
 
-    def run_all(self, max_events=100_000):
-        for _ in range(max_events):
-            if not self.heap:
-                return
-            time_ps, _, callback = heapq.heappop(self.heap)
-            callback(time_ps)
-            if len(self.completed) and not any(
-                    q for q in self.mc.queues):
-                # keep draining timers but stop once quiet
-                if not self.heap or self.heap[0][0] > time_ps + 10**8:
-                    return
+    def run_all(self):
+        self.run()
 
 
 class TestSingleRequestLatency:
@@ -70,7 +44,7 @@ class TestSingleRequestLatency:
         sim = MiniSim()
         first = sim.submit(0, 5, at=0)
         sim.run_all()
-        hit = sim.submit(0, 5, at=ns(1000), column=1)
+        hit = sim.submit(0, 5, at=ns(1000))
         sim.run_all()
         timing = sim.config.timing
         assert hit.latency_ps == timing.tCAS + timing.tBURST
@@ -119,7 +93,7 @@ class TestFRFCFS:
         sim.submit(0, 5, at=0)
         sim.run(until=ns(100))
         conflict = sim.submit(0, 9, at=ns(100))
-        hit = sim.submit(0, 5, at=ns(101), column=2)
+        hit = sim.submit(0, 5, at=ns(101))
         sim.run_all()
         assert hit.completion_ps < conflict.completion_ps
 
@@ -147,16 +121,16 @@ class TestFRFCFS:
 class TestRefresh:
     def test_refresh_closes_open_rows(self):
         sim = MiniSim()
-        sim.mc.start()  # arm the periodic REF stream
+        sim.driver.start()  # arm the periodic REF stream
         sim.submit(0, 5, at=0)
         trefi = sim.config.timing.tREFI
         sim.run(until=trefi + ns(1000))
-        assert not sim.mc.banks[0].is_open
+        assert sim.mc.open_row[0] < 0
         assert sim.mc.stats.refreshes >= 1
 
     def test_request_after_ref_waits(self):
         sim = MiniSim()
-        sim.mc.start()
+        sim.driver.start()
         trefi = sim.config.timing.tREFI
         request = sim.submit(0, 5, at=trefi + 1)
         sim.run(until=trefi * 2)
@@ -179,7 +153,7 @@ class TestPREcu:
         sim.run_all()
         # p = 1.0: every episode selected; increment is 1/p = 1
         assert policy.counter_value(0, 5) == 1
-        assert sim.mc.banks[0].stats.counter_update_precharges >= 1
+        assert sim.mc.bank_stats[0].counter_update_precharges >= 1
 
 
 class TestAlertFlow:
@@ -217,10 +191,10 @@ class TestClosePagePolicy:
         sim.submit(0, 5, at=0)
         sim.run_all()
         sim.run(until=ns(500))
-        assert not sim.mc.banks[0].is_open
+        assert sim.mc.open_row[0] < 0
 
     def test_open_page_keeps_row(self):
         sim = MiniSim()
         sim.submit(0, 5, at=0)
         sim.run_all()
-        assert sim.mc.banks[0].is_open
+        assert sim.mc.open_row[0] >= 0

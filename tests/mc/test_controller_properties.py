@@ -1,44 +1,37 @@
 """Property-based stress of the memory controller."""
 
-import heapq
-import itertools
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DRAMConfig
-from repro.dram.commands import BankAddress, LineAddress
 from repro.dram.timing import ddr5_base, ddr5_prac
-from repro.mc.controller import MemoryController
-from repro.mc.request import MemRequest
 from repro.mitigations.prac import BaselinePolicy, PRACMoatPolicy
+
+from .helpers import assert_legal, traced_driver
 
 
 def drive(requests, use_prac=False):
-    """Push a request stream through one controller; returns results."""
+    """Push a request stream through one traced controller; the command
+    stream it emits must pass the conformance oracle."""
     timing = (ddr5_prac() if use_prac else ddr5_base()) \
         .scaled_refresh(1 / 256)
     config = DRAMConfig(subchannels=1, banks_per_subchannel=4,
                         rows_per_bank=64, timing=timing)
     policy = (PRACMoatPolicy(500, 4, 64, 8, timing=timing) if use_prac
               else BaselinePolicy(timing))
-    heap, seq, done = [], itertools.count(), []
-    mc = MemoryController(
-        0, config, policy,
-        lambda t, cb: heapq.heappush(heap, (int(t), next(seq), cb)),
-        done.append)
-    mc.start()
-    submitted = []
-    for arrival, bank, row, is_write in requests:
-        request = MemRequest(0, LineAddress(BankAddress(0, bank, row), 0),
-                             arrival, is_write)
-        submitted.append(request)
-        mc.enqueue(request, arrival)
+    driver = traced_driver(policy, config=config)
+    driver.start()
+    submitted = [driver.submit(bank, row, arrival, is_write)
+                 for arrival, bank, row, is_write in requests]
     horizon = (max((a for a, *_ in requests), default=0)
                + 100 * timing.tRC + 10 * timing.tRFC)
-    while heap and heap[0][0] <= horizon and len(done) < len(submitted):
-        t, _, cb = heapq.heappop(heap)
-        cb(t)
+    mc = driver.mc
+    while driver.next_time() is not None \
+            and driver.next_time() <= horizon \
+            and mc.stats.serviced < len(submitted):
+        driver.step()
+    assert_legal(driver)
+    done = [r for r in submitted if r.completion_ps is not None]
     return mc, submitted, done
 
 

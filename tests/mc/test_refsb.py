@@ -2,20 +2,18 @@
 
 import pytest
 
+from repro.config import DRAMConfig
 from repro.sim.runner import DesignPoint, simulate, slowdown
+
+from .helpers import assert_legal, traced_driver
 
 FAST = dict(instructions=15_000, rows_per_bank=512, refresh_scale=1 / 256)
 
 
 class TestRefsbMode:
     def test_unknown_mode_rejected(self):
-        from repro.mc.controller import MemoryController
-        from repro.config import DRAMConfig
-        from repro.mitigations.prac import BaselinePolicy
         with pytest.raises(ValueError, match="refresh_mode"):
-            MemoryController(0, DRAMConfig(), BaselinePolicy(),
-                             lambda t, cb: None, lambda r: None,
-                             refresh_mode="checkerboard")
+            traced_driver(refresh_mode="checkerboard")
 
     def test_same_bank_run_completes(self):
         point = DesignPoint(workload="mcf", design="baseline",
@@ -64,33 +62,22 @@ class TestRefsbCadence:
     bank count the refresh stream drifts ahead of the tREFI cadence.
     """
 
-    def make_controller(self, trefi, banks, events):
+    def fire_times(self, trefi, banks, count):
+        """Times of the first ``count`` REFsb commands, traced through a
+        real controller whose stream must pass the oracle."""
         from dataclasses import replace
-        from repro.config import DRAMConfig
         from repro.dram.timing import ddr5_base
-        from repro.mc.controller import MemoryController
-        from repro.mitigations.prac import BaselinePolicy
         timing = replace(ddr5_base(), tREFI=trefi,
                          tREFW=8192 * trefi)
         config = DRAMConfig(subchannels=1, banks_per_subchannel=banks,
                             rows_per_bank=256, timing=timing)
-        mc = MemoryController(
-            0, config, BaselinePolicy(timing),
-            scheduler=lambda t, cb: events.append((t, cb)),
-            on_complete=lambda r: None,
-            refresh_mode="same-bank")
-        mc.start()
-        return mc
-
-    def fire_times(self, trefi, banks, count):
-        events = []
-        self.make_controller(trefi, banks, events)
-        times = []
-        while len(times) < count:
-            when, callback = events.pop()
-            times.append(when)
-            callback(when)
-        return times
+        driver = traced_driver(config=config, refresh_mode="same-bank")
+        driver.start()
+        while driver.mc.stats.refreshes < count:
+            driver.step()
+        assert_legal(driver)
+        return [e.time_ps for e in driver.tracer.events()
+                if e.kind == "REF"]
 
     def test_full_rotation_lands_on_trefi_boundary(self):
         trefi, banks = 1_000_003, 4  # tREFI not divisible by banks

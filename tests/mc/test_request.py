@@ -2,23 +2,20 @@
 
 import pytest
 
-from repro.dram.commands import BankAddress, LineAddress
 from repro.mc.request import MemRequest
 
 
 def make_request(**kw):
-    address = LineAddress(BankAddress(1, 2, 3), 4)
-    defaults = dict(core=0, address=address, arrival_ps=100)
+    defaults = dict(core=0, bank=2, row=3, arrival_ps=100)
     defaults.update(kw)
     return MemRequest(**defaults)
 
 
 class TestMemRequest:
-    def test_address_delegation(self):
+    def test_bank_and_row_fields(self):
         request = make_request()
-        assert request.subchannel == 1
-        assert request.bank == 2
-        assert request.row == 3
+        assert (request.bank, request.row) == (2, 3)
+        assert request.completion_ps is None
 
     def test_latency_after_completion(self):
         request = make_request()

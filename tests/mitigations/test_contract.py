@@ -12,30 +12,31 @@ the contract its spec declares, with no per-design test code:
   telemetry drift, sampled designs stay within the drift bound;
 * **seed-replay determinism** — the same ``(seed, stream)`` reproduces
   the same run bit-for-bit, twice;
-* **engine bit-identity** — the fast engine produces the same stats and
-  the same traced command stream as the reference event loop;
+* **golden identity** — a short hammer run produces the result digest
+  and the traced command stream pinned in ``tests/sim/data/goldens.json``
+  (frozen from the reference event loop), and the stream passes the
+  conformance oracle;
 * **forced recovery paths** — the ALERT/RFM backstops that benign
   streams rarely reach (QPRAC's queue overflow, PRACtical's bank-scoped
   recovery through the real memory controller + conformance oracle).
 """
 
-import dataclasses
-import heapq
-
 import pytest
 
 from repro.attacks.harness import AttackHarness
 from repro.check.differential import run_differential
-from repro.check.oracle import ConformanceOracle, OracleConfig
+from repro.check.driver import (oracle_config_for, result_digest,
+                                trace_digest, verify_controller)
+from repro.check.oracle import ConformanceOracle
 from repro.config import DRAMConfig
-from repro.dram.commands import BankAddress, LineAddress
-from repro.mc.controller import MemoryController
+from repro.mc.driver import ControllerDriver
 from repro.mc.pagepolicy import make_page_policy
-from repro.mc.request import MemRequest
 from repro.mitigations import registry
 from repro.mitigations.practical import PRACticalPolicy
 from repro.obs.tracer import EventTracer
-from repro.sim.runner import DesignPoint, run_point
+from repro.sim.runner import run_point
+
+from ..sim.test_goldens import GOLDENS, POINTS
 
 DESIGNS = registry.names()
 
@@ -157,20 +158,17 @@ class TestSeedReplayDeterminism:
 class TestEngineBitIdentity:
     @pytest.mark.parametrize("design", DESIGNS)
     def test_fast_engine_matches_reference(self, design):
-        point = DesignPoint(workload="hammer", design=design, trh=500,
-                            instructions=5_000, rows_per_bank=128,
-                            refresh_scale=1 / 256, seed=7)
-        fingerprints, traces = {}, {}
-        for engine in ("reference", "fast"):
-            tracer = EventTracer(capacity=500_000)
-            result = run_point(point, tracer=tracer, engine=engine)
-            fingerprints[engine] = (
-                dict(result.stats),
-                [dataclasses.asdict(s) for s in result.mc_stats],
-                result.elapsed_ps)
-            traces[engine] = tracer.events()
-        assert fingerprints["fast"] == fingerprints["reference"]
-        assert traces["fast"] == traces["reference"]
+        """The engine reproduces the reference event loop's pinned result
+        and command stream for this design, and the stream is legal."""
+        name = f"design/{design}"
+        point = POINTS[name]
+        tracer = EventTracer(capacity=500_000)
+        result = run_point(point, tracer=tracer)
+        events = tracer.events()
+        assert result_digest(result) == GOLDENS[name]["result"]
+        assert trace_digest(events) == GOLDENS[name]["trace"]
+        oracle = ConformanceOracle(oracle_config_for(point))
+        assert oracle.verify(events) == []
 
 
 # ---------------------------------------------------------------------------
@@ -221,39 +219,25 @@ class TestForcedAlertPaths:
                                  refresh_groups=64, subarrays=4)
         policy.ath, policy.eth = 6, 3
         config = DRAMConfig(banks_per_subchannel=4, rows_per_bank=64)
-        heap, counter = [], iter(range(1 << 30))
-        controller = MemoryController(
-            subchannel=0, config=config, policy=policy,
-            scheduler=lambda t, cb: heapq.heappush(
-                heap, (t, next(counter), cb)),
-            on_complete=lambda r: None,
-            page_policy=make_page_policy("close"))
         tracer = EventTracer(capacity=200_000)
-        controller.tracer = tracer
-        policy.tracer = tracer
-        policy.tracer_subchannel = 0
-        controller.start()
+        driver = ControllerDriver(config, policy, make_page_policy("close"),
+                                  tracer=tracer)
+        controller = driver.mc
+        driver.start()
         # bank 1: a 10-row cycle (past the FR-FCFS window) paced past
         # tRC; bank 3: background traffic that must keep flowing
         for i in range(160):
             bank, row = (1, i % 10) if i % 4 else (3, 20 + i % 3)
-            when = 120_000 * (i + 1)
-            address = LineAddress(BankAddress(0, bank, row), 0)
-            controller.enqueue(MemRequest(core=0, address=address,
-                                          arrival_ps=when,
-                                          is_write=False), now=when)
+            driver.submit(bank, row, at=120_000 * (i + 1))
         deadline = 140_000 * 170
-        while heap:
-            time_ps, _, callback = heapq.heappop(heap)
+        while (time_ps := driver.next_time()) is not None:
             if time_ps > deadline and not controller._alert_in_flight:
                 break
-            callback(time_ps)
+            driver.step()
 
         events = tracer.events()
         rfms = [e for e in events if e.kind == "RFM"]
         assert rfms, "hammer never reached the lowered ATH"
         assert all(e.bank == 1 for e in rfms), rfms
         assert policy.stats.alerts > 0
-        oracle = ConformanceOracle(OracleConfig.from_policy(
-            policy, banks=4, refresh_mode="all-bank"))
-        assert oracle.verify(events) == []
+        assert verify_controller(driver) == []

@@ -28,15 +28,13 @@ change log)::
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import pathlib
 import sys
 
 import pytest
 
-from repro.check.driver import oracle_config_for
+from repro.check.driver import oracle_config_for, result_digest, trace_digest
 from repro.check.oracle import ConformanceOracle, OracleConfig
 from repro.config import DRAMConfig, SystemConfig
 from repro.cpu.trace import TraceItem
@@ -172,25 +170,6 @@ def oracle_config(name: str) -> OracleConfig:
             BaselinePolicy(config.dram.timing),
             banks=config.dram.banks_per_subchannel)
     return oracle_config_for(POINTS[name])
-
-
-# ---------------------------------------------------------------------------
-# Digests
-# ---------------------------------------------------------------------------
-def _sha(document) -> str:
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def result_digest(result) -> str:
-    return _sha([dict(result.stats),
-                 [dataclasses.asdict(s) for s in result.core_stats],
-                 [dataclasses.asdict(s) for s in result.mc_stats],
-                 result.elapsed_ps])
-
-
-def trace_digest(events) -> str:
-    return _sha([list(event) for event in events])
 
 
 def measure(name: str) -> dict:

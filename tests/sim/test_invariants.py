@@ -24,22 +24,27 @@ def mixed_trace(core, n=150):
 
 
 class _CompletionAudit:
-    """Wrap a System to audit request completion behaviour."""
+    """Wrap a System's controllers to audit request completion."""
 
     def __init__(self, system: System):
-        self.completions: dict[int, int] = {}
+        self.requests: list[MemRequest] = []
         for mc in system.controllers:
-            original = mc.on_complete
+            def audited(request: MemRequest, now: int,
+                        _enqueue=mc.enqueue):
+                self.requests.append(request)
+                _enqueue(request, now)
 
-            def audited(request: MemRequest, _orig=original):
-                assert request.completion_ps is not None
-                assert request.completion_ps >= request.arrival_ps
-                assert request.request_id not in self.completions
-                self.completions[request.request_id] = \
-                    request.completion_ps
-                _orig(request)
+            mc.enqueue = audited
 
-            mc.on_complete = audited
+    @property
+    def completions(self) -> dict[int, int]:
+        out = {}
+        for request in self.requests:
+            assert request.completion_ps is not None
+            assert request.completion_ps >= request.arrival_ps
+            assert request.request_id not in out
+            out[request.request_id] = request.completion_ps
+        return out
 
 
 @pytest.fixture(params=["baseline", "prac"])
@@ -73,16 +78,16 @@ class TestConservation:
     def test_bank_stats_consistent(self, run):
         system, audit, result = run
         for mc in system.controllers:
-            for bank in mc.banks:
-                assert bank.stats.activations >= bank.stats.precharges
+            for stats, open_row in zip(mc.bank_stats, mc.open_row):
+                assert stats.activations >= stats.precharges
                 # at run end a bank is open iff ACTs exceed PREs
-                diff = bank.stats.activations - bank.stats.precharges
-                assert diff == (1 if bank.is_open else 0)
+                diff = stats.activations - stats.precharges
+                assert diff == (1 if open_row >= 0 else 0)
 
     def test_column_accesses_match_requests(self, run):
         system, audit, result = run
-        columns = sum(b.stats.reads + b.stats.writes
-                      for mc in system.controllers for b in mc.banks)
+        columns = sum(b.reads + b.writes
+                      for mc in system.controllers for b in mc.bank_stats)
         assert columns == result.total_requests
 
     def test_hits_plus_activations_cover_requests(self, run):
