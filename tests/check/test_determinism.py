@@ -30,12 +30,8 @@ from repro.sim.runner import DesignPoint, run_point
 
 from ..sim.test_goldens import GOLDENS, MATRIX, POINTS
 
-FAST = dict(instructions=6_000, rows_per_bank=512, refresh_scale=1 / 256)
-
-POINTS_UNDER_TEST = [
-    DesignPoint(workload=workload, design=design, **FAST)
-    for workload, design in MATRIX
-]
+POINTS_UNDER_TEST = [POINTS[f"matrix/{workload}.{design}"]
+                     for workload, design in MATRIX]
 
 
 def label(point):
@@ -49,11 +45,6 @@ def fingerprint(result):
         [dataclasses.asdict(s) for s in result.mc_stats],
         result.elapsed_ps,
     )
-
-
-def test_matrix_points_are_pinned():
-    for point in POINTS_UNDER_TEST:
-        assert POINTS[f"matrix/{label(point)}"] == point
 
 
 @pytest.mark.parametrize("point", POINTS_UNDER_TEST, ids=label)

@@ -10,7 +10,6 @@ whose stream must pass the oracle), and that the conformance oracle
 rejects every command issued before the rule allows it.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,10 +44,10 @@ def times(events, kind, bank=0):
     return [e.time_ps for e in events if e.kind == kind and e.bank == bank]
 
 
-def rules(*events, timing=BASE):
+def rules(*events):
     """Rule ids the oracle flags on a hand-built bank-0 stream."""
     oracle = ConformanceOracle(OracleConfig(
-        normal=timing, counter_update=ddr5_prac(), banks=4))
+        normal=BASE, counter_update=PRAC, banks=4))
     return {v.rule for v in oracle.verify(
         [TraceEvent(t, kind, 0, 0, row) for t, kind, row in events])}
 

@@ -1,7 +1,5 @@
 """Memory controller: FR-FCFS behaviour, timing, REF, ABO, PREcu."""
 
-import pytest
-
 from repro.config import DRAMConfig
 from repro.dram.timing import ddr5_base, ddr5_prac
 from repro.mitigations.mopac_c import MoPACCPolicy
