@@ -4,10 +4,13 @@ The same design point must produce bit-identical ``SystemResult.stats``
 (and core/MC stats) across every combination of machinery:
 
 * **transport**: serial inline execution vs the parallel sweep engine;
-* **observability**: with and without an :class:`EventTracer` attached;
+* **observability**: with and without an :class:`EventTracer` attached.
 
-and both must equal the result and command stream pinned in
-``tests/sim/data/goldens.json`` from the reference event loop.
+Each check holds against both former engines' answers. The engine runs
+the fast engine's machinery, so ``fast`` compares its runs with each
+other; the reference event loop survives as the results it pinned in
+``tests/sim/data/goldens.json``, so ``reference`` requires every run to
+reproduce that pinned digest.
 
 Tracing is observability, not physics; parallelism is transport, not
 physics. Any divergence here means hidden global state, an
@@ -38,6 +41,9 @@ def label(point):
     return f"{point.workload}.{point.design}"
 
 
+ENGINES = ("reference", "fast")
+
+
 def fingerprint(result):
     return (
         dict(result.stats),
@@ -47,17 +53,31 @@ def fingerprint(result):
     )
 
 
+def assert_agree(engine, point, *results):
+    """``fast``: the runs are bit-identical to each other. ``reference``:
+    each run reproduces the reference event loop's pinned digest."""
+    if engine == "fast":
+        first = fingerprint(results[0])
+        for result in results[1:]:
+            assert fingerprint(result) == first, point
+    else:
+        want = GOLDENS[f"matrix/{label(point)}"]["result"]
+        for result in results:
+            assert result_digest(result) == want, point
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("point", POINTS_UNDER_TEST, ids=label)
 class TestTracerTransparency:
-    def test_tracer_on_equals_tracer_off(self, point):
+    def test_tracer_on_equals_tracer_off(self, point, engine):
         bare = run_point(point)
         tracer = EventTracer(capacity=2_000_000)
         traced = run_point(point, tracer=tracer)
         assert len(tracer) > 0  # the traced run really did record
-        assert fingerprint(traced) == fingerprint(bare)
+        assert_agree(engine, point, traced, bare)
 
-    def test_rerun_is_bit_identical(self, point):
-        assert fingerprint(run_point(point)) == fingerprint(run_point(point))
+    def test_rerun_is_bit_identical(self, point, engine):
+        assert_agree(engine, point, run_point(point), run_point(point))
 
 
 @pytest.mark.parametrize("point", POINTS_UNDER_TEST, ids=label)
@@ -76,7 +96,8 @@ class TestEngineEquivalence:
 
 
 class TestSerialParallelEquivalence:
-    def test_sweep_paths_agree(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sweep_paths_agree(self, engine):
         serial = SweepEngine(workers=1, parallel=False, cache=None,
                              use_memo=False)
         parallel = SweepEngine(workers=2, parallel=True, cache=None,
@@ -85,7 +106,7 @@ class TestSerialParallelEquivalence:
         parallel_results = parallel.run(POINTS_UNDER_TEST)
         for point, a, b in zip(POINTS_UNDER_TEST, serial_results,
                                parallel_results):
-            assert fingerprint(a) == fingerprint(b), point
+            assert_agree(engine, point, a, b)
 
 
 @settings(max_examples=8, deadline=None)
