@@ -81,39 +81,73 @@ class AttackHarness:
 
     def run(self, pattern: Iterator[Target], activations: int,
             stop_on_failure: bool = False) -> AttackResult:
-        """Issue ``activations`` targets from ``pattern``."""
-        timing = self.policy.timing
+        """Issue ``activations`` targets from ``pattern``.
+
+        The per-ACT hooks are bound to locals here, not in ``__init__``:
+        a wrapper installed on the policy or ledger instance between
+        construction and ``run`` (a span log timing each hook) must see
+        every call. The REF and ALERT helpers are entered only when one
+        is due, and the mitigation queue is drained only when the policy
+        has queued something (the contract in
+        :meth:`~repro.mitigations.base.MitigationPolicy.drain_mitigations`).
+        """
+        policy = self.policy
+        on_activate = policy.on_activate
+        on_precharge = policy.on_precharge
+        note_row_open = policy.note_row_open
+        alert_requested = policy.alert_requested
+        ledger = self.ledger
+        ledger_activate = ledger.on_activate
+        observers = self.observers
+        bank_ready = self.bank_ready
+        recent = self._recent_acts
+        timing = policy.timing
+        tFAW, tRRD = timing.tFAW, timing.tRRD
+        tALERT = timing.tALERT_NORMAL
+        refresh = self.enable_refresh
+        trh = self.trh
+        acts = 0
         for _ in range(activations):
             bank, row = next(pattern)
-            issue = max(self.now, self.bank_ready[bank])
-            if len(self._recent_acts) == 4:
-                issue = max(issue, self._recent_acts[0] + timing.tFAW)
-            self._maybe_service_alert(issue)
-            issue = max(issue, self.now)
-            issue = self._maybe_refresh(issue)
-            self._recent_acts.append(issue)
+            issue = self.now
+            if bank_ready[bank] > issue:
+                issue = bank_ready[bank]
+            if len(recent) == 4 and recent[0] + tFAW > issue:
+                issue = recent[0] + tFAW
+            if self._alert_deadline is not None \
+                    and issue >= self._alert_deadline:
+                self._maybe_service_alert(issue)
+                if self.now > issue:
+                    issue = self.now
+            if refresh and issue >= self.next_ref:
+                issue = self._maybe_refresh(issue)
+            recent.append(issue)
 
-            decision = self.policy.on_activate(bank, row, issue)
-            self.ledger.on_activate(bank, row)
-            for observer in self.observers:
+            decision = on_activate(bank, row, issue)
+            ledger_activate(bank, row)
+            for observer in observers:
                 observer.on_activate(bank, row)
-            self._acts += 1
-            pre_time = issue + decision.act_timing.tRAS
-            self.policy.on_precharge(bank, row, pre_time,
-                                     decision.counter_update)
-            self.policy.note_row_open(bank, row, decision.act_timing.tRAS)
-            episode = max(decision.act_timing.tRAS + decision.pre_timing.tRP,
-                          decision.act_timing.tRC)
-            self.bank_ready[bank] = issue + episode
-            self.now = max(self.now, issue + timing.tRRD)
-            self._apply_mitigations()
-            if self.policy.alert_requested() and self._alert_deadline is None:
-                self._alert_deadline = issue + timing.tALERT_NORMAL
-            if stop_on_failure and self.ledger.max_count > self.trh:
+            acts += 1
+            act_timing = decision.act_timing
+            tRAS = act_timing.tRAS
+            on_precharge(bank, row, issue + tRAS, decision.counter_update)
+            note_row_open(bank, row, tRAS)
+            episode = tRAS + decision.pre_timing.tRP
+            if act_timing.tRC > episode:
+                episode = act_timing.tRC
+            bank_ready[bank] = issue + episode
+            if issue + tRRD > self.now:
+                self.now = issue + tRRD
+            if policy.pending_mitigations:
+                self._apply_mitigations()
+            if self._alert_deadline is None and alert_requested():
+                self._alert_deadline = issue + tALERT
+            if stop_on_failure and ledger.max_count > trh:
                 break
+        self._acts += acts
         return AttackResult(
-            ledger=self.ledger.report(), activations=self._acts,
-            elapsed_ps=max(self.now, max(self.bank_ready)),
+            ledger=ledger.report(), activations=self._acts,
+            elapsed_ps=max(self.now, max(bank_ready)),
             alerts=self._alerts,
         )
 
@@ -130,7 +164,8 @@ class AttackHarness:
                 observer.on_refresh()
             self._apply_mitigations()
             ref_end = self.next_ref + timing.tRFC
-            issue = max(issue, ref_end)
+            if ref_end > issue:
+                issue = ref_end
             self._block_all(ref_end)
             self.next_ref += timing.tREFI
         return issue
@@ -151,21 +186,25 @@ class AttackHarness:
         self._apply_mitigations()
         if recovery is None:
             self._block_all(stall_end)
-            self.now = max(self.now, stall_end)
+            if stall_end > self.now:
+                self.now = stall_end
         else:
             # bank-scoped recovery: only the banks the ALERT named stall
             # for the RFM; the rest of the sub-channel keeps issuing
             for bank in recovery:
-                self.bank_ready[bank] = max(self.bank_ready[bank],
-                                            stall_end)
-            self.now = max(self.now, self._alert_deadline)
+                if self.bank_ready[bank] < stall_end:
+                    self.bank_ready[bank] = stall_end
+            if self._alert_deadline > self.now:
+                self.now = self._alert_deadline
         self._alert_deadline = None
         if self.policy.alert_requested():
             self._alert_deadline = stall_end + timing.tALERT_NORMAL
 
     def _block_all(self, until: int) -> None:
+        bank_ready = self.bank_ready
         for bank in range(self.banks):
-            self.bank_ready[bank] = max(self.bank_ready[bank], until)
+            if bank_ready[bank] < until:
+                bank_ready[bank] = until
 
     def _apply_mitigations(self) -> None:
         for event in self.policy.drain_mitigations():

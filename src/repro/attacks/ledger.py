@@ -13,15 +13,18 @@ refresh triggered by mitigating row r clears only r's ledger count, even
 though it also freshens rows that other aggressors were hammering. The
 mitigations therefore face a slightly stronger adversary here than in
 reality — if they pass, they pass with margin.
+
+Counts are sparse, one ``dict[int, int]`` per bank with absent rows at 0
+(the form every per-row count shares, see
+:mod:`repro.mitigations.prac_state`); read them through :meth:`value`
+and :meth:`max_value`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from ..mitigations.prac_state import RefreshSchedule
+from ..mitigations.prac_state import RefreshSchedule, clear_range
 
 
 @dataclass
@@ -49,7 +52,7 @@ class HammerLedger:
         self.banks = banks
         self.rows = rows
         self.trh = trh
-        self.counts = [np.zeros(rows, dtype=np.int64) for _ in range(banks)]
+        self.counts: list[dict[int, int]] = [{} for _ in range(banks)]
         self.refresh_schedule = RefreshSchedule(rows, refresh_groups)
         self.max_count = 0
         self.max_bank = 0
@@ -60,8 +63,8 @@ class HammerLedger:
         """Count one activation; returns the row's running count."""
         self.total_activations += 1
         counts = self.counts[bank]
-        counts[row] += 1
-        value = int(counts[row])
+        value = counts.get(row, 0) + 1
+        counts[row] = value
         if value > self.max_count:
             self.max_count = value
             self.max_bank = bank
@@ -71,13 +74,21 @@ class HammerLedger:
     def on_mitigation(self, bank: int, row: int) -> None:
         """The policy victim-refreshed around ``row``: its slate is clean."""
         if 0 <= row < self.rows:
-            self.counts[bank][row] = 0
+            self.counts[bank].pop(row, None)
 
     def on_refresh(self) -> None:
         """One REF: the next refresh group's rows are freshened."""
         start, stop = self.refresh_schedule.advance()
-        for bank in range(self.banks):
-            self.counts[bank][start:stop] = 0
+        for counts in self.counts:
+            clear_range(counts, start, stop)
+
+    def value(self, bank: int, row: int) -> int:
+        """The row's current unmitigated count."""
+        return self.counts[bank].get(row, 0)
+
+    def max_value(self, bank: int) -> int:
+        """The bank's largest current count (0 when none)."""
+        return max(self.counts[bank].values(), default=0)
 
     def report(self) -> LedgerReport:
         return LedgerReport(

@@ -31,11 +31,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..attacks.harness import AttackHarness, Target
 from ..mitigations import registry as mitigation_registry
-from ..mitigations.prac_state import BLAST_RADIUS, RefreshSchedule
+from ..mitigations.prac_state import (RefreshSchedule, bump_victims,
+                                      clear_range)
 from ..rng import derive_seed
 
 #: designs whose per-row counters must exactly track activations
@@ -59,37 +58,42 @@ class CounterConservationAuditor:
     def __init__(self, banks: int, rows: int, refresh_groups: int):
         self.banks = banks
         self.rows = rows
-        self.counts = [np.zeros(rows, dtype=np.int64) for _ in range(banks)]
+        #: sparse per-bank shadow counts (absent row = 0; see prac_state)
+        self.counts: list[dict[int, int]] = [{} for _ in range(banks)]
         self.schedules = [RefreshSchedule(rows, refresh_groups)
                           for _ in range(banks)]
 
     def on_activate(self, bank: int, row: int) -> None:
-        self.counts[bank][row] += 1
+        counts = self.counts[bank]
+        counts[row] = counts.get(row, 0) + 1
 
     def on_refresh(self) -> None:
         for bank in range(self.banks):
             start, stop = self.schedules[bank].advance()
-            self.counts[bank][start:stop] = 0
+            clear_range(self.counts[bank], start, stop)
 
     def on_mitigation(self, bank: int, row: int) -> None:
         counts = self.counts[bank]
-        counts[row] = 0
-        for offset in range(1, BLAST_RADIUS + 1):
-            for victim in (row - offset, row + offset):
-                if 0 <= victim < self.rows:
-                    counts[victim] += 1
+        counts.pop(row, None)
+        bump_victims(counts, row, self.rows)
+
+    def value(self, bank: int, row: int) -> int:
+        """The shadow counter of (bank, row)."""
+        return self.counts[bank].get(row, 0)
 
     def mismatches(self, policy) -> list[tuple[int, int, int, int]]:
-        """(bank, row, shadow, policy) for every diverging counter."""
+        """(bank, row, shadow, policy) for every diverging counter.
+
+        Every row is compared, not just the shadow's counted ones, so a
+        policy counter the shadow never saw is caught too.
+        """
         out = []
         for bank in range(self.banks):
-            diff = np.nonzero(
-                self.counts[bank]
-                != np.array([policy.counter_value(bank, r)
-                             for r in range(self.rows)]))[0]
-            for row in diff:
-                out.append((bank, int(row), int(self.counts[bank][row]),
-                            policy.counter_value(bank, int(row))))
+            counts = self.counts[bank]
+            for row in range(self.rows):
+                got = policy.counter_value(bank, row)
+                if got != counts.get(row, 0):
+                    out.append((bank, row, counts.get(row, 0), got))
         return out
 
 

@@ -677,6 +677,9 @@ class MemoryController:
         ref_end = close_by + self.policy.timing.tRFC
         self._block(banks, ref_end)
         self.policy.on_refresh(now)
+        # only the attack harness's ledger reads mitigation events;
+        # discard them here rather than keep every one of the run
+        self.policy.pending_mitigations.clear()
         self._check_alert(now)
         self.next_ref += self.policy.timing.tREFI
         self._ref_horizon = self.next_ref
@@ -707,6 +710,7 @@ class MemoryController:
         block_end = start + self.policy.timing.tRFCsb
         self._block((index,), block_end)
         self.policy.on_refresh(now, bank=index)
+        self.policy.pending_mitigations.clear()
         self._check_alert(now)
         # Cumulative cadence: the k-th REFsb fires at (k*tREFI)//banks,
         # so every full rotation lands exactly on a tREFI boundary.
@@ -756,6 +760,7 @@ class MemoryController:
                         self.tracer.record(now, "RFM", self.subchannel,
                                            index, -1, "abo")
             self.policy.on_rfm(end)
+        self.policy.pending_mitigations.clear()
         self.stats.alerts += 1
         self.stats.rfm_commands += \
             level * (1 if recovery is None else len(recovery))

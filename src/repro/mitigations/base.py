@@ -79,7 +79,8 @@ class MitigationPolicy:
         #: The harness stalls abo_level * tALERT_RFM and calls
         #: :meth:`on_rfm` that many times per ALERT episode.
         self.abo_level = 1
-        #: mitigation events since last drain, consumed by the harness
+        #: mitigation events since last drain: the attack harness feeds
+        #: them to its ledger, the memory controller discards them
         self.pending_mitigations: list[MitigationEvent] = []
         #: opt-in event tracer (set by the harness; None = no tracing)
         self.tracer = None
@@ -146,7 +147,16 @@ class MitigationPolicy:
         return 0
 
     def drain_mitigations(self) -> list[MitigationEvent]:
-        """Return and clear mitigation events (harness ledger hookup)."""
+        """Return and clear mitigation events (harness ledger hookup).
+
+        Contract: every mitigation is queued on
+        :attr:`pending_mitigations` (``_record_mitigation`` does it), and
+        that list is empty exactly when there is nothing to drain. The
+        attack harness checks the list after each ACT and calls this
+        only when it is non-empty; it always drains after REF and RFM.
+        The memory controller keeps no ledger, so it discards the queue
+        after each REF and RFM service instead of draining it.
+        """
         events, self.pending_mitigations = self.pending_mitigations, []
         return events
 

@@ -10,16 +10,63 @@ is at least the Eligibility Threshold (ETH = ATH / 2).
 
 All MoPAC variants reuse this machinery — they differ only in *when* and
 *by how much* the counters are updated.
+
+Every per-row count in the package (these counters, PRACtical's
+subarray state, the security shadow, the attack ledger and the
+differential auditor) has one sparse form: a ``dict[int, int]`` per
+bank, where an absent row counts 0. An attack touches a few thousand
+rows of a 65536-row bank, so a dict costs what is touched, not the
+bank's size. Hot paths update it inline with ``get``/set; the two cold
+operations every owner shares, the refresh range clear and the
+blast-radius victim bump, live here once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 #: Victim rows refreshed around a mitigated aggressor (blast radius 2).
 BLAST_RADIUS = 2
+
+
+def clear_range(counts: dict[int, int], start: int, stop: int) -> int:
+    """Periodic refresh of rows [start, stop) in one bank's counts.
+
+    Drops every counted row of the range and returns the largest count
+    dropped (0 when none was counted). Walks whichever is shorter, the
+    range or the bank's counted rows.
+    """
+    if not counts:
+        return 0
+    peak = 0
+    if stop - start <= len(counts):
+        pop = counts.pop
+        for row in range(start, stop):
+            value = pop(row, 0)
+            if value > peak:
+                peak = value
+    else:
+        for row in [row for row in counts if start <= row < stop]:
+            value = counts.pop(row)
+            if value > peak:
+                peak = value
+    return peak
+
+
+def bump_victims(counts: dict[int, int], row: int, rows: int) -> list[int]:
+    """Victim refresh around ``row``: each in-range blast-radius victim
+    gains +1, because the refresh activates it (paper footnote 5).
+
+    Returns the victims in bump order (nearest first, lower side first).
+    The caller resets the aggressor itself.
+    """
+    victims = []
+    for offset in range(1, BLAST_RADIUS + 1):
+        for victim in (row - offset, row + offset):
+            if 0 <= victim < rows:
+                counts[victim] = counts.get(victim, 0) + 1
+                victims.append(victim)
+    return victims
 
 
 @dataclass
@@ -45,11 +92,12 @@ class MoatTracker:
 
 
 class PRACCounters:
-    """Per-bank PRAC counter arrays with MOAT trackers.
+    """Per-bank PRAC counters with MOAT trackers.
 
     One instance models one DRAM chip's view of a sub-channel: ``banks``
-    counter arrays of ``rows`` entries each, plus one :class:`MoatTracker`
-    per bank. Counter updates feed the tracker; refreshes clear counters.
+    sparse counter maps over ``rows`` rows each, plus one
+    :class:`MoatTracker` per bank. Counter updates feed the tracker;
+    refreshes clear counters.
     """
 
     def __init__(self, banks: int, rows: int):
@@ -57,7 +105,7 @@ class PRACCounters:
             raise ValueError("banks and rows must be positive")
         self.banks = banks
         self.rows = rows
-        self.counters = [np.zeros(rows, dtype=np.int64) for _ in range(banks)]
+        self.counters: list[dict[int, int]] = [{} for _ in range(banks)]
         self.trackers = [MoatTracker() for _ in range(banks)]
 
     def update(self, bank: int, row: int, increment: int) -> int:
@@ -66,13 +114,13 @@ class PRACCounters:
         Returns the new counter value.
         """
         counters = self.counters[bank]
-        counters[row] += increment
-        value = int(counters[row])
+        value = counters.get(row, 0) + increment
+        counters[row] = value
         self.trackers[bank].observe(row, value)
         return value
 
     def value(self, bank: int, row: int) -> int:
-        return int(self.counters[bank][row])
+        return self.counters[bank].get(row, 0)
 
     def tracker(self, bank: int) -> MoatTracker:
         return self.trackers[bank]
@@ -91,13 +139,10 @@ class PRACCounters:
             return None
         row = tracker.row
         counters = self.counters[bank]
-        counters[row] = 0
+        counters.pop(row, None)
         tracker.invalidate()
-        for offset in range(1, BLAST_RADIUS + 1):
-            for victim in (row - offset, row + offset):
-                if 0 <= victim < self.rows:
-                    counters[victim] += 1
-                    tracker.observe(victim, int(counters[victim]))
+        for victim in bump_victims(counters, row, self.rows):
+            tracker.observe(victim, counters[victim])
         return row
 
     def refresh_rows(self, bank: int, start: int, stop: int) -> None:
@@ -106,13 +151,13 @@ class PRACCounters:
         If the MOAT-tracked row falls in the refreshed range its entry is
         invalidated (its counter is now zero).
         """
-        self.counters[bank][start:stop] = 0
+        clear_range(self.counters[bank], start, stop)
         tracker = self.trackers[bank]
         if tracker.valid and start <= tracker.row < stop:
             tracker.invalidate()
 
     def max_value(self, bank: int) -> int:
-        return int(self.counters[bank].max())
+        return max(self.counters[bank].values(), default=0)
 
 
 @dataclass
@@ -140,8 +185,9 @@ class RefreshSchedule:
 
     def advance(self) -> tuple[int, int]:
         """Return the [start, stop) row range refreshed by the next REF."""
-        start = self.next_group * self.rows_per_group
-        stop = min(start + self.rows_per_group, self.rows)
+        per_group = self.rows_per_group
+        start = self.next_group * per_group
+        stop = min(start + per_group, self.rows)
         self.next_group += 1
         if self.next_group >= self.groups:
             self.next_group = 0

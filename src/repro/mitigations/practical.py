@@ -30,10 +30,9 @@ from __future__ import annotations
 from ..dram.timing import MoPACTimings, TimingSet
 from ..security.moat_model import moat_ath, moat_eth
 from .base import EpisodeDecision, MitigationPolicy
-from .prac_state import BLAST_RADIUS, MoatTracker, RefreshSchedule
+from .prac_state import (MoatTracker, RefreshSchedule, bump_victims,
+                         clear_range)
 from .security import SecurityTelemetry
-
-import numpy as np
 
 #: Default subarrays per bank (real parts have 32-128; the scaled-down
 #: geometries used in tests keep the ratio rows/subarray meaningful).
@@ -51,7 +50,7 @@ class SubarrayState:
         self.banks = banks
         self.rows = rows
         self.subarrays = subarrays
-        self.counters = [np.zeros(rows, dtype=np.int64) for _ in range(banks)]
+        self.counters: list[dict[int, int]] = [{} for _ in range(banks)]
         self.trackers = [[MoatTracker() for _ in range(subarrays)]
                          for _ in range(banks)]
 
@@ -61,13 +60,13 @@ class SubarrayState:
 
     def update(self, bank: int, row: int, increment: int) -> int:
         counters = self.counters[bank]
-        counters[row] += increment
-        value = int(counters[row])
+        value = counters.get(row, 0) + increment
+        counters[row] = value
         self.trackers[bank][self.subarray_of(row)].observe(row, value)
         return value
 
     def value(self, bank: int, row: int) -> int:
-        return int(self.counters[bank][row])
+        return self.counters[bank].get(row, 0)
 
     def max_tracked(self, bank: int) -> int:
         """Hottest tracked value across the bank's subarrays."""
@@ -85,18 +84,15 @@ class SubarrayState:
             return None
         row = tracker.row
         counters = self.counters[bank]
-        counters[row] = 0
+        counters.pop(row, None)
         tracker.invalidate()
-        for offset in range(1, BLAST_RADIUS + 1):
-            for victim in (row - offset, row + offset):
-                if 0 <= victim < self.rows:
-                    counters[victim] += 1
-                    self.trackers[bank][self.subarray_of(victim)].observe(
-                        victim, int(counters[victim]))
+        for victim in bump_victims(counters, row, self.rows):
+            self.trackers[bank][self.subarray_of(victim)].observe(
+                victim, counters[victim])
         return row
 
     def refresh_rows(self, bank: int, start: int, stop: int) -> None:
-        self.counters[bank][start:stop] = 0
+        clear_range(self.counters[bank], start, stop)
         for tracker in self.trackers[bank]:
             if tracker.valid and start <= tracker.row < stop:
                 tracker.invalidate()

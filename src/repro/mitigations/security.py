@@ -34,10 +34,8 @@ bit-identical across serial/parallel execution and across engines.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..obs.registry import Histogram
-from .prac_state import BLAST_RADIUS
+from .prac_state import bump_victims, clear_range
 
 #: Drift histogram bucket edges (|estimate - truth| in activations).
 DRIFT_BOUNDS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
@@ -57,8 +55,8 @@ class SecurityTelemetry:
             raise ValueError("banks and rows must be positive")
         self.banks = banks
         self.rows = rows
-        self.true_counts = [np.zeros(rows, dtype=np.int64)
-                            for _ in range(banks)]
+        #: sparse per-bank true counts (absent row = 0; see prac_state)
+        self.true_counts: list[dict[int, int]] = [{} for _ in range(banks)]
         #: per-bank maximum true count captured at clear time
         self.peak = [0] * banks
         self.drift = Histogram(DRIFT_BOUNDS)
@@ -70,11 +68,12 @@ class SecurityTelemetry:
     # -- feeding sites (called by the owning policy) -----------------------
     def on_activate(self, bank: int, row: int) -> None:
         """One true activation of (bank, row)."""
-        self.true_counts[bank][row] += 1
+        counts = self.true_counts[bank]
+        counts[row] = counts.get(row, 0) + 1
 
     def on_counter_update(self, bank: int, row: int, estimate: int) -> None:
         """The policy wrote ``estimate`` into its (bank, row) counter."""
-        drift = abs(int(estimate) - int(self.true_counts[bank][row]))
+        drift = abs(estimate - self.true_counts[bank].get(row, 0))
         self.drift.observe(drift)
         self.drift_total += drift
         if drift > self.drift_max:
@@ -83,24 +82,16 @@ class SecurityTelemetry:
     def on_mitigation(self, bank: int, row: int) -> None:
         """Victim refresh of ``row``: truth resets, neighbours +1."""
         counts = self.true_counts[bank]
-        value = int(counts[row])
+        value = counts.pop(row, 0)
         if value > self.peak[bank]:
             self.peak[bank] = value
-        counts[row] = 0
-        for offset in range(1, BLAST_RADIUS + 1):
-            for victim in (row - offset, row + offset):
-                if 0 <= victim < self.rows:
-                    counts[victim] += 1
+        bump_victims(counts, row, self.rows)
 
     def on_refresh_range(self, bank: int, start: int, stop: int) -> None:
         """Periodic refresh cleared rows [start, stop) of ``bank``."""
-        if stop <= start:
-            return
-        counts = self.true_counts[bank]
-        window_max = int(counts[start:stop].max())
+        window_max = clear_range(self.true_counts[bank], start, stop)
         if window_max > self.peak[bank]:
             self.peak[bank] = window_max
-        counts[start:stop] = 0
 
     def on_rfm(self, total_activations: int) -> None:
         """One RFM service; pass the policy's running activation count."""
@@ -109,11 +100,12 @@ class SecurityTelemetry:
 
     # -- introspection -----------------------------------------------------
     def true_count(self, bank: int, row: int) -> int:
-        return int(self.true_counts[bank][row])
+        return self.true_counts[bank].get(row, 0)
 
     def max_disturbance(self, bank: int) -> int:
         """Highest true count any row of ``bank`` ever reached."""
-        return max(self.peak[bank], int(self.true_counts[bank].max()))
+        return max(self.peak[bank],
+                   max(self.true_counts[bank].values(), default=0))
 
     def as_dict(self, stats) -> dict:
         """``mitigation.{sc}.security.*`` snapshot fragment.

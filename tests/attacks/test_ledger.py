@@ -14,7 +14,7 @@ class TestCounting:
         ledger = make_ledger()
         for _ in range(5):
             ledger.on_activate(0, 10)
-        assert ledger.counts[0][10] == 5
+        assert ledger.value(0, 10) == 5
         assert ledger.total_activations == 5
 
     def test_max_tracked_with_location(self):
@@ -29,7 +29,7 @@ class TestCounting:
     def test_banks_independent(self):
         ledger = make_ledger()
         ledger.on_activate(0, 10)
-        assert ledger.counts[1][10] == 0
+        assert ledger.value(1, 10) == 0
 
 
 class TestResets:
@@ -38,7 +38,7 @@ class TestResets:
         for _ in range(5):
             ledger.on_activate(0, 10)
         ledger.on_mitigation(0, 10)
-        assert ledger.counts[0][10] == 0
+        assert ledger.value(0, 10) == 0
 
     def test_mitigation_does_not_lower_max(self):
         """The max is a high-water mark: a past overshoot stays recorded."""
@@ -55,7 +55,7 @@ class TestResets:
             ledger.on_activate(0, row)
         for _ in range(8):  # 8 groups
             ledger.on_refresh()
-        assert int(ledger.counts[0].sum()) == 0
+        assert ledger.max_value(0) == 0
 
     def test_out_of_range_mitigation_ignored(self):
         ledger = make_ledger()

@@ -101,10 +101,10 @@ class TestAuditorHasTeeth:
         for _ in range(10):
             auditor.on_activate(0, 10)
         auditor.on_mitigation(0, 10)
-        assert auditor.counts[0][10] == 0
+        assert auditor.value(0, 10) == 0
         for offset in range(1, BLAST_RADIUS + 1):
-            assert auditor.counts[0][10 - offset] == 1
-            assert auditor.counts[0][10 + offset] == 1
+            assert auditor.value(0, 10 - offset) == 1
+            assert auditor.value(0, 10 + offset) == 1
 
     def test_refresh_clears_groups_round_robin(self):
         auditor = CounterConservationAuditor(banks=1, rows=64,
@@ -112,8 +112,8 @@ class TestAuditorHasTeeth:
         for row in range(64):
             auditor.on_activate(0, row)
         auditor.on_refresh()  # clears rows 0..7
-        assert not auditor.counts[0][:8].any()
-        assert auditor.counts[0][8:].all()
+        assert all(auditor.value(0, row) == 0 for row in range(8))
+        assert all(auditor.value(0, row) == 1 for row in range(8, 64))
 
 
 class TestDriftTelemetry:

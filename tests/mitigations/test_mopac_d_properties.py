@@ -57,7 +57,8 @@ def test_counters_never_negative(ops):
     policy = driven_policy(ops)
     for chip in policy.chips:
         for bank in range(chip.prac.banks):
-            assert chip.prac.counters[bank].min() >= 0
+            assert all(chip.prac.value(bank, row) >= 0
+                       for row in range(chip.prac.rows))
 
 
 @settings(max_examples=40, deadline=None)

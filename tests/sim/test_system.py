@@ -6,6 +6,8 @@ from repro.config import DRAMConfig, SystemConfig
 from repro.cpu.trace import TraceItem
 from repro.dram.timing import ddr5_base
 from repro.mitigations.prac import BaselinePolicy
+from repro.sim.runner import (DesignPoint, build_config, build_traces,
+                              make_policy_factory)
 from repro.sim.system import System
 
 
@@ -176,3 +178,25 @@ class TestWritebacksDoNotBlock:
         # writebacks never block retirement, so the write run is
         # dispatch-limited and faster
         assert t_writes < t_reads
+
+
+class TestMitigationEvents:
+    """No ledger consumes mitigation events in the full system, so the
+    controller discards them after each REF/RFM service instead of
+    keeping every event of the run."""
+
+    @pytest.mark.parametrize("design, refresh_mode", [
+        ("mopac-d", "all-bank"), ("mopac-c", "all-bank"),
+        ("mint", "same-bank")])
+    def test_hammer_run_keeps_no_events(self, design, refresh_mode):
+        point = DesignPoint(workload="hammer", design=design, trh=125,
+                            instructions=20_000, rows_per_bank=128,
+                            refresh_scale=1 / 256,
+                            refresh_mode=refresh_mode)
+        config = build_config(point)
+        system = System(config, make_policy_factory(point, config),
+                        build_traces(point, config), point.instructions,
+                        refresh_mode=refresh_mode)
+        system.run()
+        assert sum(p.stats.mitigations for p in system.policies) > 0
+        assert all(p.pending_mitigations == [] for p in system.policies)
