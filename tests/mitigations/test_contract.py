@@ -40,11 +40,18 @@ from ..sim.test_goldens import GOLDENS, POINTS
 
 DESIGNS = registry.names()
 
-#: one differential run shared by the invariant tests (module-import
-#: cost, not per-test) — small but adversarial enough to mitigate
-DIFF = run_differential(trh=250, activations=12_000, banks=4, rows=256,
-                        refresh_groups=64, seed=0xD1FF)
-OUTCOMES = {o.design: o for o in DIFF.outcomes}
+@pytest.fixture(scope="module")
+def diff():
+    """One differential run shared by the invariant tests — small but
+    adversarial enough to mitigate. Module-scoped, so only a session
+    that selects one of those tests pays for it."""
+    return run_differential(trh=250, activations=12_000, banks=4,
+                            rows=256, refresh_groups=64, seed=0xD1FF)
+
+
+@pytest.fixture(scope="module")
+def outcomes(diff):
+    return {o.design: o for o in diff.outcomes}
 
 
 def _spec(design):
@@ -90,19 +97,19 @@ class TestRegistryShape:
 # Differential invariants (one shared adversarial stream)
 # ---------------------------------------------------------------------------
 class TestDifferentialInvariants:
-    def test_report_is_clean(self):
-        assert DIFF.ok, DIFF.describe()
+    def test_report_is_clean(self, diff):
+        assert diff.ok, diff.describe()
 
-    def test_every_design_ran(self):
-        assert set(OUTCOMES) == set(DESIGNS)
+    def test_every_design_ran(self, outcomes):
+        assert set(outcomes) == set(DESIGNS)
 
-    def test_all_designs_saw_the_same_stream(self):
-        totals = {o.total_activations for o in DIFF.outcomes}
+    def test_all_designs_saw_the_same_stream(self, diff):
+        totals = {o.total_activations for o in diff.outcomes}
         assert len(totals) == 1
 
     @pytest.mark.parametrize("design", DESIGNS)
-    def test_security_ledger_verdict(self, design):
-        outcome = OUTCOMES[design]
+    def test_security_ledger_verdict(self, design, outcomes):
+        outcome = outcomes[design]
         if _spec(design).secure:
             assert not outcome.attack_succeeded, (
                 f"{design} let a row reach {outcome.max_count} > "
@@ -110,8 +117,8 @@ class TestDifferentialInvariants:
 
     @pytest.mark.parametrize(
         "design", [d for d in DESIGNS if registry.get(d).exact])
-    def test_exact_designs_conserve_counters(self, design):
-        outcome = OUTCOMES[design]
+    def test_exact_designs_conserve_counters(self, design, outcomes):
+        outcome = outcomes[design]
         assert not outcome.counter_mismatches
         assert outcome.stats_conserved
         assert outcome.drift_max == 0 and outcome.drift_total == 0
@@ -120,14 +127,15 @@ class TestDifferentialInvariants:
         "design",
         [d for d in DESIGNS
          if registry.get(d).counting and not registry.get(d).exact])
-    def test_sampled_designs_stay_within_drift_bound(self, design):
-        outcome = OUTCOMES[design]
-        assert 0 < outcome.drift_max <= DIFF.trh
+    def test_sampled_designs_stay_within_drift_bound(self, design, diff,
+                                                     outcomes):
+        outcome = outcomes[design]
+        assert 0 < outcome.drift_max <= diff.trh
 
     @pytest.mark.parametrize("design", DESIGNS)
-    def test_designs_actually_mitigate(self, design):
+    def test_designs_actually_mitigate(self, design, outcomes):
         # a design that never services anything is vacuously "clean"
-        assert OUTCOMES[design].mitigations > 0
+        assert outcomes[design].mitigations > 0
 
 
 # ---------------------------------------------------------------------------
