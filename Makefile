@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck smoke obs-smoke serve-smoke fabric-smoke check coverage-check cov-mitigations ci clean-cache
+.PHONY: test lint typecheck smoke obs-smoke serve-smoke fabric-smoke check coverage-check cov-mitigations bench-tests ci clean-cache
 
 # Tier-1 suite (the correctness gate).
 test:
@@ -76,8 +76,15 @@ cov-mitigations:
 		$(PYTHON) -m pytest -q tests/mitigations tests/check; \
 	fi
 
+# The benchmark's own tests (perfbench/tests): host-speed scaling,
+# span self-time accounting, pinned fingerprints and equal-seed repeats
+# of each workload's TINY profile. They sit outside pytest's testpaths,
+# so `test` does not collect them.
+bench-tests:
+	$(PYTHON) -m pytest -q perfbench/tests
+
 # What CI runs.
-ci: lint typecheck test smoke obs-smoke serve-smoke fabric-smoke check cov-mitigations
+ci: lint typecheck test smoke obs-smoke serve-smoke fabric-smoke check cov-mitigations bench-tests
 
 clean-cache:
 	rm -rf benchmarks/results/.cache .repro-cache
