@@ -116,11 +116,11 @@ class AttackHarness:
                 issue = recent[0] + tFAW
             if self._alert_deadline is not None \
                     and issue >= self._alert_deadline:
-                self._maybe_service_alert(issue)
+                self._service_alert()
                 if self.now > issue:
                     issue = self.now
             if refresh and issue >= self.next_ref:
-                issue = self._maybe_refresh(issue)
+                issue = self._refresh_through(issue)
             recent.append(issue)
 
             decision = on_activate(bank, row, issue)
@@ -152,10 +152,12 @@ class AttackHarness:
         )
 
     # ------------------------------------------------------------------
-    def _maybe_refresh(self, issue: int) -> int:
-        """Inject REF commands due before ``issue``; returns revised time."""
-        if not self.enable_refresh:
-            return issue
+    def _refresh_through(self, issue: int) -> int:
+        """Inject REF commands due before ``issue``; returns revised time.
+
+        :meth:`run` calls this only with refresh enabled and
+        ``issue >= next_ref``.
+        """
         timing = self.policy.timing
         while issue >= self.next_ref:
             self.policy.on_refresh(self.next_ref)
@@ -170,10 +172,12 @@ class AttackHarness:
             self.next_ref += timing.tREFI
         return issue
 
-    def _maybe_service_alert(self, issue: int) -> None:
-        """If the ALERT window has closed, pay the RFM stall."""
-        if self._alert_deadline is None or issue < self._alert_deadline:
-            return
+    def _service_alert(self) -> None:
+        """The ALERT window has closed: pay the RFM stall.
+
+        :meth:`run` calls this only once an issue time reaches the
+        pending deadline.
+        """
         timing = self.policy.timing
         level = getattr(self.policy, "abo_level", 1)
         scope = getattr(self.policy, "recovery_scope", "subchannel")

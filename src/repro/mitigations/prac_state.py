@@ -33,8 +33,7 @@ def clear_range(counts: dict[int, int], start: int, stop: int) -> int:
     """Periodic refresh of rows [start, stop) in one bank's counts.
 
     Drops every counted row of the range and returns the largest count
-    dropped (0 when none was counted). Walks whichever is shorter, the
-    range or the bank's counted rows.
+    dropped (0 when none was counted).
     """
     if not counts:
         # most banks of an attack are untouched, and every REF clears
@@ -42,16 +41,10 @@ def clear_range(counts: dict[int, int], start: int, stop: int) -> int:
         # acts_per_s
         return 0
     peak = 0
-    if stop - start <= len(counts):
-        for row in range(start, stop):
-            value = counts.pop(row, 0)
-            if value > peak:
-                peak = value
-    else:
-        for row in [row for row in counts if start <= row < stop]:
-            value = counts.pop(row)
-            if value > peak:
-                peak = value
+    for row in range(start, stop):
+        value = counts.pop(row, 0)
+        if value > peak:
+            peak = value
     return peak
 
 

@@ -5,9 +5,7 @@ Every per-row count is a ``dict[int, int]`` per bank with absent rows at
 sparse stores and a plain dense model with the same random
 add / mitigate / refresh-range operations and compare every row's
 value, each bank's maximum, the MOAT tracker and the security peak
-after every step. Refresh ranges run from empty to the whole bank, so
-both walks of ``clear_range`` (over the range, over the counted rows)
-are taken.
+after every step. Refresh ranges run from empty to the whole bank.
 """
 
 from hypothesis import given, settings
@@ -25,8 +23,7 @@ ops = st.lists(
                   st.integers(0, ROWS - 1), st.integers(1, 9)),
         st.tuples(st.just("mitigate"), st.integers(0, BANKS - 1),
                   st.integers(0, ROWS - 1), st.just(0)),
-        # (start, length): short ranges walk the range, long ones the
-        # counted rows
+        # (start, length): mostly REF-group-sized, sometimes whole-bank
         st.tuples(st.just("refresh"), st.integers(0, BANKS - 1),
                   st.integers(0, ROWS),
                   st.one_of(st.integers(0, 4), st.integers(0, ROWS))),
